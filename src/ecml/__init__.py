@@ -37,6 +37,7 @@ from .evaluation import (
     ScoredPairs,
     build_report,
     compute_eer,
+    evaluate,
     kl_divergence,
     load_report,
     save_report,

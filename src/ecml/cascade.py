@@ -111,8 +111,10 @@ class CascadeModel:
         stages = tuple(self.stages)
         if self.input_dim < 1:
             raise ValidationError("input_dim must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        if not 0 <= self.seed < 2**64:
+            raise ValidationError(
+                f"seed must lie in [0, 2**64) to fit the model file, got {self.seed}"
+            )
         dim = self.input_dim
         for s, stage in enumerate(stages):
             padded = -(-dim // stage.group_count) * stage.group_count
@@ -285,17 +287,26 @@ def transform(model: CascadeModel, features: FeatureMatrix) -> FeatureMatrix:
     return current
 
 
-def cascade_distance(model: CascadeModel, x, y) -> float:
-    """Squared metric distance d^T M d between two transformed vectors."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if x.size != model.input_dim or y.size != model.input_dim:
+def cascade_distance(model: CascadeModel, x, y):
+    """Squared metric distance d^T M d between transformed inputs.
+
+    ``x`` and ``y`` are either two vectors, giving one float, or two
+    equal-shape ``(n, D)`` row blocks, giving ``n`` scores for the row pairs
+    ``(x[k], y[k])``. Both blocks go through the cascade in one pass.
+    """
+    single = np.ndim(x) == 1 and np.ndim(y) == 1
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != model.input_dim:
         raise ValidationError(
-            f"vectors must have dim {model.input_dim}, got {x.size} and {y.size}"
+            f"inputs must be two vectors of dim {model.input_dim} or two equal-shape "
+            f"(n, {model.input_dim}) row blocks, got shapes {x.shape} and {y.shape}"
         )
-    mapped = transform(model, FeatureMatrix(np.vstack([x, y])))
-    d = mapped.data[0] - mapped.data[1]
-    return float(d @ model.final_metric.matrix @ d)
+    n = x.shape[0]
+    mapped = transform(model, FeatureMatrix(np.vstack([x, y]))).data
+    d = mapped[:n] - mapped[n:]
+    scores = ((d @ model.final_metric.matrix) * d).sum(1)
+    return float(scores[0]) if single else scores
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ DEFAULTS = {
     "lam": None,  # resolved to 0.1 with --cascade, 0.5 without
     "pca_dim": None,
     "seed": 0,
-    "repeats": 5,
     "bins": ev.DEFAULT_BINS,
     "fmt": "csv",
     "ids": 20,
@@ -49,33 +48,6 @@ DEFAULTS = {
     "pos_fraction": 0.5,
 }
 
-# config-file key -> argparse dest
-_CONFIG_KEYS = {
-    "learner": "learner",
-    "cascade": "cascade",
-    "stages": "stages",
-    "lambda": "lam",
-    "pca_dim": "pca_dim",
-    "seed": "seed",
-    "repeats": "repeats",
-    "bins": "bins",
-    "format": "fmt",
-    "features": "features",
-    "pairs": "pairs",
-    "model": "model",
-    "report": "report",
-    "labels": "labels",
-    "output": "output",
-    "ids": "ids",
-    "samples_per_id": "samples_per_id",
-    "dim": "dim",
-    "intra_spread": "intra_spread",
-    "inter_spread": "inter_spread",
-    "count": "count",
-    "pos_fraction": "pos_fraction",
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved fitting/evaluation configuration."""
@@ -86,8 +58,6 @@ class RunConfig:
     lam: float | None = None
     pca_dim: int | None = None
     seed: int = 0
-    repeats: int = 5
-    bins: int = ev.DEFAULT_BINS
 
     def __post_init__(self):
         if self.learner not in met.LEARNER_NAMES:
@@ -104,10 +74,6 @@ class RunConfig:
             raise ValidationError("pca dimension must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be nonnegative")
-        if self.repeats < 1:
-            raise ValidationError("repeats must be >= 1")
-        if self.bins < 1:
-            raise ValidationError("bins must be >= 1")
 
     @property
     def effective_lambda(self) -> float:
@@ -123,7 +89,50 @@ def _phase(name):
     print(f"{name},{time.perf_counter() - start:.6f}", file=sys.stderr)
 
 
-def _load_config_file(path):
+def _config_options(parser):
+    """Config-file key -> argparse action for each option of a subcommand.
+
+    A key is the long flag name with dashes as underscores, so it equals the
+    action's dest except for ``lambda`` (dest ``lam``) and ``format`` (``fmt``).
+    """
+    return {
+        action.option_strings[0].lstrip("-").replace("-", "_"): action
+        for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+
+
+def _config_value(path, key, value, action):
+    """Check a config-file value against the type its flag parses to."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif action.type is int:
+        ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif action.type is float:
+        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+    elif action.nargs == "+":
+        ok = isinstance(value, str) or (
+            isinstance(value, list) and all(isinstance(v, str) for v in value)
+        )
+        kind = "a string or a list of strings"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ValidationError(f"{path}: config key {key!r} must be {kind}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValidationError(
+            f"{path}: config key {key!r} must be one of {list(action.choices)}, got {value!r}"
+        )
+    return float(value) if action.type is float else value
+
+
+def _load_config_file(args):
+    """Values of the JSON ``--config`` file that the running subcommand reads.
+
+    Keys any subcommand knows are accepted, so one file can serve several
+    subcommands; a JSON null counts as not set.
+    """
+    path = getattr(args, "config", None)
     if path is None:
         return {}
     try:
@@ -134,16 +143,17 @@ def _load_config_file(path):
         raise ValidationError(f"{path}: config must be a JSON object")
     cfg = {}
     for key, value in raw.items():
-        dest = _CONFIG_KEYS.get(key)
-        if dest is None:
+        if key not in args.config_keys:
             raise ValidationError(f"{path}: unknown config key {key!r}")
-        cfg[dest] = value
+        action = args.config_options.get(key)
+        if action is not None and value is not None:
+            cfg[action.dest] = _config_value(path, key, value, action)
     return cfg
 
 
 def _resolve(args, *names):
     """Merge CLI flags (highest), config file, and built-in defaults."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args)
     out = {}
     for name in names:
         value = getattr(args, name, None)
@@ -172,17 +182,13 @@ def cmd_synth(args):
     features_path = _require(cfg, "features", "--features")
     labels_path = _require(cfg, "labels", "--labels")
     pairs_path = _require(cfg, "pairs", "--pairs")
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     with _phase("synth"):
         matrix, labels = feat.gen_synthetic(
-            int(cfg["ids"]),
-            int(cfg["samples_per_id"]),
-            int(cfg["dim"]),
-            float(cfg["intra_spread"]),
-            float(cfg["inter_spread"]),
-            seed,
+            cfg["ids"], cfg["samples_per_id"], cfg["dim"],
+            cfg["intra_spread"], cfg["inter_spread"], seed,
         )
-        pairs = feat.sample_pairs(labels, int(cfg["count"]), float(cfg["pos_fraction"]), seed)
+        pairs = feat.sample_pairs(labels, cfg["count"], cfg["pos_fraction"], seed)
     with _phase("write"):
         feat.save_features(matrix, features_path, cfg["fmt"])
         feat.save_labels(labels, labels_path)
@@ -199,11 +205,9 @@ def cmd_pairs(args):
     labels_path = _require(cfg, "labels", "--labels")
     pairs_path = _require(cfg, "pairs", "--pairs")
     labels = feat.load_labels(labels_path)
-    pairs = feat.sample_pairs(
-        labels, int(cfg["count"]), float(cfg["pos_fraction"]), int(cfg["seed"])
-    )
+    pairs = feat.sample_pairs(labels, cfg["count"], cfg["pos_fraction"], cfg["seed"])
     feat.save_pairs(pairs, pairs_path)
-    print(f"seed: {int(cfg['seed'])}")
+    print(f"seed: {cfg['seed']}")
     print(f"pairs: {pairs_path} ({pairs.n_pos} matched, {pairs.n_neg} unmatched)")
     return EXIT_OK
 
@@ -211,21 +215,19 @@ def cmd_pairs(args):
 def cmd_fit(args):
     cfg_map = _resolve(
         args,
-        "learner", "cascade", "stages", "lam", "pca_dim", "seed", "repeats",
-        "bins", "features", "pairs", "model", "fmt",
+        "learner", "cascade", "stages", "lam", "pca_dim", "seed",
+        "features", "pairs", "model", "fmt",
     )
     features_path = _require(cfg_map, "features", "--features")
     pairs_path = _require(cfg_map, "pairs", "--pairs")
     model_path = _require(cfg_map, "model", "--model")
     cfg = RunConfig(
         learner=cfg_map["learner"],
-        cascade=bool(cfg_map["cascade"]),
-        stages=int(cfg_map["stages"]),
-        lam=None if cfg_map["lam"] is None else float(cfg_map["lam"]),
-        pca_dim=None if cfg_map["pca_dim"] is None else int(cfg_map["pca_dim"]),
-        seed=int(cfg_map["seed"]),
-        repeats=int(cfg_map["repeats"]),
-        bins=int(cfg_map["bins"]),
+        cascade=cfg_map["cascade"],
+        stages=cfg_map["stages"],
+        lam=cfg_map["lam"],
+        pca_dim=cfg_map["pca_dim"],
+        seed=cfg_map["seed"],
     )
     with _phase("load"):
         matrix = feat.load_features(features_path, cfg_map["fmt"])
@@ -257,14 +259,11 @@ def cmd_fit(args):
 def _score_model(model_path, matrix, pairs, bins):
     model, pca = casc.load_model(model_path)
     data = feat.apply_pca(pca, matrix) if pca is not None else matrix
-    scored = ev.score_pairs(
-        lambda a, b: casc.cascade_distance(model, a, b), data, pairs
-    )
-    return ev.build_report(scored, bins=bins)
+    return ev.evaluate(model, data, pairs, bins=bins)
 
 
 def cmd_eval(args):
-    cfg = _resolve(args, "model", "features", "pairs", "report", "bins", "repeats", "fmt")
+    cfg = _resolve(args, "model", "features", "pairs", "report", "bins", "fmt")
     model_paths = cfg["model"]
     if isinstance(model_paths, str):
         model_paths = [model_paths]
@@ -272,7 +271,7 @@ def cmd_eval(args):
         raise ValidationError("--model is required")
     features_path = _require(cfg, "features", "--features")
     pairs_path = _require(cfg, "pairs", "--pairs")
-    bins = int(cfg["bins"])
+    bins = cfg["bins"]
     with _phase("load"):
         matrix = feat.load_features(features_path, cfg["fmt"])
         pairs = feat.load_pairs(pairs_path)
@@ -401,8 +400,6 @@ def build_parser():
     p.add_argument("--lambda", type=float, dest="lam")
     p.add_argument("--pca-dim", type=int, dest="pca_dim")
     p.add_argument("--seed", type=int)
-    p.add_argument("--repeats", type=int)
-    p.add_argument("--bins", type=int)
     p.add_argument("--format", dest="fmt", choices=feat.FEATURE_FORMATS)
     _add_config_flag(p)
     p.set_defaults(func=cmd_fit)
@@ -413,7 +410,6 @@ def build_parser():
     p.add_argument("--pairs")
     p.add_argument("--report")
     p.add_argument("--bins", type=int)
-    p.add_argument("--repeats", type=int)
     p.add_argument("--format", dest="fmt", choices=feat.FEATURE_FORMATS)
     _add_config_flag(p)
     p.set_defaults(func=cmd_eval)
@@ -430,6 +426,10 @@ def build_parser():
     p.add_argument("--model")
     p.set_defaults(func=cmd_inspect)
 
+    options = {name: _config_options(p) for name, p in sub.choices.items()}
+    known = set().union(*options.values())
+    for name, p in sub.choices.items():
+        p.set_defaults(config_options=options[name], config_keys=known)
     return parser
 
 

@@ -10,16 +10,22 @@ above t, so a score exactly at the threshold penalizes neither side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import freeze_array
+from .cascade import CascadeModel, cascade_distance
 from .errors import ValidationError
 from .features import FeatureMatrix, PairSet
 
 DEFAULT_BINS = 100
+# Pairs per distance_fn call in score_pairs. A constant, because BLAS picks
+# its kernel by row count: a pair scored alone can differ in the last bit from
+# the same pair scored in a larger block.
+SCORE_CHUNK = 256
 KL_SMOOTHING = 1e-10
 
 
@@ -88,15 +94,26 @@ class EvalReport:
 
 
 def score_pairs(distance_fn, features: FeatureMatrix, pairs: PairSet) -> ScoredPairs:
-    """Score every pair with ``distance_fn(x_i, x_j)``."""
+    """Score every pair with ``distance_fn(x[i_chunk], x[j_chunk])``.
+
+    ``distance_fn`` receives two equal-shape row blocks, the first and second
+    members of up to ``SCORE_CHUNK`` consecutive pairs, and returns one score
+    per row. Chunking bounds the memory of the gathered rows.
+    """
     pairs.check_against(features)
     x = features.data
-    scores = np.fromiter(
-        (distance_fn(x[a], x[b]) for a, b in zip(pairs.i, pairs.j)),
-        dtype=np.float64,
-        count=len(pairs),
-    )
+    scores = np.empty(len(pairs))
+    for start in range(0, len(pairs), SCORE_CHUNK):
+        chunk = slice(start, start + SCORE_CHUNK)
+        scores[chunk] = distance_fn(x[pairs.i[chunk]], x[pairs.j[chunk]])
     return ScoredPairs(scores=scores, labels=np.asarray(pairs.y))
+
+
+def evaluate(model: CascadeModel, features: FeatureMatrix, pairs: PairSet,
+             bins: int = DEFAULT_BINS) -> EvalReport:
+    """Score ``pairs`` with the cascade ``model`` and build the full report."""
+    scored = score_pairs(partial(cascade_distance, model), features, pairs)
+    return build_report(scored, bins=bins)
 
 
 def _operating_points(scored: ScoredPairs):

@@ -198,11 +198,8 @@ def test_criterion_06_group_count_rule():
 _TREND = None
 
 
-def _eval_model(model, feats, pairs, bins=100):
-    scored = ecml.score_pairs(
-        lambda a, b: ecml.cascade_distance(model, a, b), feats, pairs
-    )
-    rep = ecml.build_report(scored, bins=bins)
+def _eval_model(model, feats, pairs):
+    rep = ecml.evaluate(model, feats, pairs)
     return rep.eer, rep.kl_pos_neg
 
 

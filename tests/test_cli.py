@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import time
 
@@ -160,6 +161,33 @@ class TestFit:
         # flag wins over config file
         assert model.final_metric.lam == 0.2
         assert model.seed == 3
+
+    @pytest.mark.parametrize("bad", [{"stages": "three"}, {"cascade": "no"}, {"seed": 1.5}])
+    def test_config_value_of_wrong_type(self, workspace, capsys, bad):
+        cfg = workspace / "bad.json"
+        cfg.write_text(json.dumps(bad))
+        code, _, err = run(
+            capsys, "fit", "--config", str(cfg), "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "bad.ecml"),
+        )
+        assert code == 2 and repr(next(iter(bad))) in err
+        assert not (workspace / "bad.ecml").exists()
+
+    def test_seed_beyond_model_format(self, workspace, capsys):
+        def fit(seed, name):
+            return run(
+                capsys, "fit", "--features", str(workspace / "f.csv"),
+                "--pairs", str(workspace / "p.csv"), "--model", str(workspace / name),
+                "--seed", str(seed),
+            )
+
+        code, _, err = fit(2**64, "over.ecml")
+        assert code == 2 and "seed" in err
+        assert fit(2**64 - 1, "max.ecml")[0] == 0
+        model, _ = ecml.load_model(workspace / "max.ecml")
+        assert model.seed == 2**64 - 1
+        with pytest.raises(ecml.ValidationError):
+            dataclasses.replace(model, seed=2**64)
 
     def test_missing_features_flag(self, workspace, capsys):
         code, _, err = run(

@@ -1,5 +1,7 @@
 """Tests for pair scoring, EER, KL divergence, and report persistence."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 import ecml
 from ecml.errors import ValidationError
+from ecml.evaluation import SCORE_CHUNK
 
-from conftest import brute_force_eer
+from conftest import brute_force_eer, clustered_problem
 
 
 def scored(pos, neg):
@@ -39,20 +42,35 @@ class TestScorePairs:
     def test_identity_metric_squared_norm(self):
         feats = ecml.FeatureMatrix([[0.0, 0.0], [3.0, 4.0]])
         pairs = ecml.PairSet([0, 0], [1, 1], [1, 0])
-        sp = ecml.score_pairs(lambda a, b: float(((a - b) ** 2).sum()), feats, pairs)
+        sp = ecml.score_pairs(lambda a, b: ((a - b) ** 2).sum(1), feats, pairs)
         assert np.array_equal(sp.scores, [25.0, 25.0])
 
     def test_identical_samples_score_zero(self):
         feats = ecml.FeatureMatrix([[1.0, 2.0], [1.0, 2.0], [5.0, 6.0]])
         pairs = ecml.PairSet([0, 0], [1, 2], [1, 0])
-        sp = ecml.score_pairs(lambda a, b: float(((a - b) ** 2).sum()), feats, pairs)
+        sp = ecml.score_pairs(lambda a, b: ((a - b) ** 2).sum(1), feats, pairs)
         assert sp.scores[0] == 0.0
 
     def test_labels_copied(self):
         feats = ecml.FeatureMatrix([[0.0], [1.0], [2.0]])
         pairs = ecml.PairSet([0, 0], [1, 2], [1, 0])
-        sp = ecml.score_pairs(lambda a, b: 1.0, feats, pairs)
+        sp = ecml.score_pairs(lambda a, b: np.ones(len(a)), feats, pairs)
         assert np.array_equal(sp.labels, pairs.y)
+
+    def test_chunked_cascade_scores_match_one_pair_calls(self):
+        count = 2 * SCORE_CHUNK + 37
+        feats, _, pairs = clustered_problem(seed=31, dim=12, count=count)
+        model = ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=3)
+        blocks = partial(ecml.cascade_distance, model)
+        first = ecml.score_pairs(blocks, feats, pairs).scores
+        again = ecml.score_pairs(blocks, feats, pairs).scores
+        assert first.size == count and first.tobytes() == again.tobytes()
+        x = feats.data
+        single = [ecml.cascade_distance(model, x[a], x[b]) for a, b in zip(pairs.i, pairs.j)]
+        assert all(type(s) is float for s in single)
+        np.testing.assert_allclose(first, single, rtol=1e-12, atol=0.0)
+        with pytest.raises(ValidationError):
+            ecml.cascade_distance(model, x[:3], x[:2])
 
 
 class TestComputeEer:
