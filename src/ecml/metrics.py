@@ -20,6 +20,9 @@ from .features import FeatureMatrix, PairSet
 COND_LIMIT = 1e12
 RHO_FLOOR = 1e-12
 DEFAULT_LAMBDA = 0.5
+# Pairs per difference block in accumulate_stats; fixed, because the
+# summation order it sets is part of the model bytes.
+STATS_CHUNK = 2048
 
 LEARNER_NAMES = ("rmml", "kissme", "genuine-baseline")
 
@@ -41,6 +44,25 @@ class DifferenceStats:
     n_neg: int
 
     def __post_init__(self):
+        self._check(psd=True)
+
+    @classmethod
+    def _from_sums(cls, sum_pos, sum_neg, tr_pos, tr_neg, n_pos, n_neg):
+        """Stats whose matrices are sums of d d^T formed in this module.
+
+        Such sums are PSD by construction, so the O(D^3) eigenvalue check of
+        the public constructor is skipped; every other check still runs.
+        """
+        stats = object.__new__(cls)
+        for name, value in (
+            ("sum_pos", sum_pos), ("sum_neg", sum_neg), ("tr_pos", tr_pos),
+            ("tr_neg", tr_neg), ("n_pos", n_pos), ("n_neg", n_neg),
+        ):
+            object.__setattr__(stats, name, value)
+        stats._check(psd=False)
+        return stats
+
+    def _check(self, psd):
         sp = np.asarray(self.sum_pos, dtype=np.float64)
         sn = np.asarray(self.sum_neg, dtype=np.float64)
         if sp.ndim != 2 or sp.shape[0] != sp.shape[1] or sp.shape != sn.shape:
@@ -53,7 +75,7 @@ class DifferenceStats:
             scale = max(1.0, float(np.abs(mat).max()))
             if np.abs(mat - mat.T).max() > 1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not symmetric within 1e-8")
-            if np.linalg.eigvalsh(symmetrize(mat)).min() < -1e-8 * scale:
+            if psd and np.linalg.eigvalsh(symmetrize(mat)).min() < -1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
             if abs(tr - np.trace(mat)) > 1e-8 * max(1.0, abs(tr)):
                 raise ValidationError(
@@ -100,29 +122,48 @@ class MetricModel:
 
 
 def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats:
-    """Accumulate d d^T sums and squared norms over matched/unmatched pairs."""
+    """Accumulate d d^T sums and squared norms over matched/unmatched pairs.
+
+    Each class's differences are gathered ``STATS_CHUNK`` pairs at a time, in
+    pair-set order, and their ``d.T @ d`` products are added into one D x D
+    total, so beyond the result the call allocates a few chunk x D blocks
+    whatever the pair count. A class of at most ``STATS_CHUNK`` pairs is one
+    product; a larger one sums its chunk products in order, which rounds
+    differently from one product over the whole class. The chunk size is
+    therefore part of the determinism contract for model bytes.
+    """
     pairs.check_against(features)
-    x = features.data
-    diffs = x[pairs.i] - x[pairs.j]
-    pos = diffs[pairs.y == 1]
-    neg = diffs[pairs.y == 0]
-    sum_pos = pos.T @ pos
-    sum_neg = neg.T @ neg
-    return DifferenceStats(
+    sum_pos, n_pos = _class_sum(features.data, pairs, 1)
+    sum_neg, n_neg = _class_sum(features.data, pairs, 0)
+    return DifferenceStats._from_sums(
         sum_pos=sum_pos,
         sum_neg=sum_neg,
         tr_pos=float(np.trace(sum_pos)),
         tr_neg=float(np.trace(sum_neg)),
-        n_pos=pos.shape[0],
-        n_neg=neg.shape[0],
+        n_pos=n_pos,
+        n_neg=n_neg,
     )
+
+
+def _class_sum(x, pairs, label):
+    """Sum of d d^T over the pairs labeled ``label``, and their count."""
+    idx = np.flatnonzero(pairs.y == label)
+    total = None
+    for start in range(0, idx.size, STATS_CHUNK):
+        k = idx[start : start + STATS_CHUNK]
+        d = x[pairs.i[k]] - x[pairs.j[k]]
+        if total is None:
+            total = d.T @ d
+        else:
+            total += d.T @ d
+    return total, idx.size
 
 
 def merge_stats(a: DifferenceStats, b: DifferenceStats) -> DifferenceStats:
     """Merge stats accumulated over disjoint pair partitions."""
     if a.dim != b.dim:
         raise ValidationError(f"cannot merge stats of dim {a.dim} and {b.dim}")
-    return DifferenceStats(
+    return DifferenceStats._from_sums(
         sum_pos=a.sum_pos + b.sum_pos,
         sum_neg=a.sum_neg + b.sum_neg,
         tr_pos=a.tr_pos + b.tr_pos,

@@ -2,7 +2,12 @@
 
 import dataclasses
 import json
+import os
+import struct
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +301,25 @@ class TestEval:
         )
         assert code == 2 and "magic" in err
 
+    def test_huge_projection_entries_load_and_eval(self, workspace, capsys):
+        # P @ P.T of these entries overflows to inf; no gram check may run on load
+        path = self.fit_model(workspace, capsys, "m.ecml", "--cascade", "--stages", "1")
+        model, _ = ecml.load_model(path)
+        stage = model.stages[0]
+        offset = 12 + len(model.learner) + struct.calcsize("<ddQII") + 8 + 4 * stage.width
+        blob = bytearray(path.read_bytes())
+        huge = np.full(stage.group_dim**2, 1e300, dtype="<f8").tobytes()
+        blob[offset : offset + len(huge)] = huge
+        path.write_bytes(bytes(blob))
+        loaded, _ = ecml.load_model(path)
+        assert loaded.stages[0].projections[0].p.max() == 1e300
+        code, _, _ = run(
+            capsys,
+            "eval", "--model", str(path),
+            "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
+        )
+        assert code in (0, 2)
+
 
 class TestTransform:
     def test_matches_library_transform(self, workspace, capsys):
@@ -372,3 +396,70 @@ class TestInspect:
         (workspace / "mt.ecml").write_bytes(blob[:-7])
         code, _, err = run(capsys, "inspect", "--model", str(workspace / "mt.ecml"))
         assert code == 2 and "truncated" in err
+
+    def test_non_utf8_learner_tag_errors(self, workspace, capsys):
+        path = workspace / "mu.ecml"
+        run(
+            capsys,
+            "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(path),
+        )
+        blob = bytearray(path.read_bytes())
+        blob[12:16] = b"\xff\xfe\xfd\xfc"  # the 4-byte tag "rmml"
+        path.write_bytes(bytes(blob))
+        code, _, err = run(capsys, "inspect", "--model", str(path))
+        assert code == 2 and "UTF-8" in err
+
+
+# Fits the 3-stage rmml cascade (seed 0) twice from synthetic raw-binary
+# inputs and prints one sha256 line per model file.
+_GOLDEN_FIT = """
+import hashlib, sys
+from pathlib import Path
+from ecml import cli
+
+work = Path(sys.argv[1])
+f, l, p = work / "f.bin", work / "l.csv", work / "p.csv"
+assert cli.main(["synth", *sys.argv[2:], "--format", "raw-binary",
+                 "--features", str(f), "--labels", str(l), "--pairs", str(p)]) == 0
+for k in (0, 1):
+    m = work / f"m{k}.ecml"
+    assert cli.main(["fit", "--features", str(f), "--pairs", str(p), "--format", "raw-binary",
+                     "--model", str(m), "--cascade", "--stages", "3", "--seed", "0"]) == 0
+    print("sha256", hashlib.sha256(m.read_bytes()).hexdigest())
+"""
+
+
+class TestGoldenModelBytes:
+    """Model bytes of pinned configurations, fitted in a one-thread OpenBLAS child.
+
+    The hashes hold for numpy 2.4 with its bundled OpenBLAS 0.3.31 on x86-64;
+    another BLAS build may round differently.
+    """
+
+    def fit_hashes(self, tmp_path, *synth):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(ecml.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _GOLDEN_FIT, str(tmp_path), *synth],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        return [line.split()[1] for line in out.splitlines() if line.startswith("sha256 ")]
+
+    def test_classes_within_one_chunk_keep_earlier_bytes(self, tmp_path):
+        # acceptance geometry: 1500 matched + 1500 unmatched pairs, each class
+        # below metrics.STATS_CHUNK, so every sum is one product, as unchunked
+        hashes = self.fit_hashes(
+            tmp_path, "--ids", "50", "--samples-per-id", "20", "--dim", "64",
+            "--count", "3000", "--seed", "0",
+        )
+        assert hashes == ["5ed6cf95d2efdab1823f72d6010438a9afcba383348900c9389b87df9b1f9294"] * 2
+
+    def test_classes_above_one_chunk(self, tmp_path):
+        # 3000 + 3000 pairs: each class sums two chunk products
+        hashes = self.fit_hashes(
+            tmp_path, "--ids", "20", "--samples-per-id", "20", "--dim", "16",
+            "--count", "6000", "--seed", "1",
+        )
+        assert hashes == ["88902763acb0a5e8bb431209faac50499bbf69d5f31cc35ead4def4332a3c7c0"] * 2

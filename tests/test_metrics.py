@@ -1,5 +1,8 @@
 """Tests for difference-space statistics and the metric learners."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,34 @@ def stats_from_diffs(pos, neg):
     )
 
 
+def naive_stats(feats, pairs):
+    """Per-pair summation of d d^T and d^T d, one class at a time."""
+    dim = feats.dim
+    sums = {1: np.zeros((dim, dim)), 0: np.zeros((dim, dim))}
+    traces = {1: 0.0, 0: 0.0}
+    for a, b, y in zip(pairs.i, pairs.j, pairs.y):
+        d = feats.data[a] - feats.data[b]
+        sums[y] += np.outer(d, d)
+        traces[y] += d @ d
+    return sums[1], sums[0], traces[1], traces[0]
+
+
+def assert_matches_oracle(feats, pairs, stats):
+    sum_pos, sum_neg, tr_pos, tr_neg = naive_stats(feats, pairs)
+    scale = max(1.0, np.abs(sum_pos).max(), np.abs(sum_neg).max())
+    assert np.abs(stats.sum_pos - sum_pos).max() <= 1e-9 * scale
+    assert np.abs(stats.sum_neg - sum_neg).max() <= 1e-9 * scale
+    assert abs(stats.tr_pos - tr_pos) <= 1e-9 * max(1.0, tr_pos)
+    assert abs(stats.tr_neg - tr_neg) <= 1e-9 * max(1.0, tr_neg)
+
+
+def random_pairs(rng, n, labels):
+    """Pairs over ``n`` samples with the given labels, never joining a sample to itself."""
+    i = rng.integers(0, n, labels.size)
+    j = (i + rng.integers(1, n, labels.size)) % n
+    return ecml.PairSet(i, j, labels)
+
+
 class TestAccumulateStats:
     def test_single_outer_product(self):
         feats = ecml.FeatureMatrix([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
@@ -44,24 +75,40 @@ class TestAccumulateStats:
 
     def test_matches_naive_oracle(self, rng):
         feats, _, pairs = clustered_problem(seed=7, count=500)
+        assert_matches_oracle(feats, pairs, ecml.accumulate_stats(feats, pairs))
+
+    @pytest.mark.parametrize(
+        "size",
+        [metrics.STATS_CHUNK - 1, metrics.STATS_CHUNK, metrics.STATS_CHUNK + 1,
+         2 * metrics.STATS_CHUNK + 3],
+    )
+    def test_chunked_sums_match_naive_oracle(self, size):
+        # both classes hold `size` pairs, interleaved
+        rng = np.random.default_rng(size)
+        feats = ecml.FeatureMatrix(rng.normal(size=(60, 5)))
+        pairs = random_pairs(rng, 60, rng.permutation(np.repeat([1, 0], size)))
         stats = ecml.accumulate_stats(feats, pairs)
-        # brute force: explicit per-pair summation
-        sum_pos = np.zeros((feats.dim, feats.dim))
-        sum_neg = np.zeros((feats.dim, feats.dim))
-        tr_pos = tr_neg = 0.0
-        for a, b, y in zip(pairs.i, pairs.j, pairs.y):
-            d = feats.data[a] - feats.data[b]
-            if y == 1:
-                sum_pos += np.outer(d, d)
-                tr_pos += d @ d
-            else:
-                sum_neg += np.outer(d, d)
-                tr_neg += d @ d
-        scale = max(1.0, np.abs(sum_pos).max(), np.abs(sum_neg).max())
-        assert np.abs(stats.sum_pos - sum_pos).max() <= 1e-9 * scale
-        assert np.abs(stats.sum_neg - sum_neg).max() <= 1e-9 * scale
-        assert abs(stats.tr_pos - tr_pos) <= 1e-9 * max(1.0, tr_pos)
-        assert abs(stats.tr_neg - tr_neg) <= 1e-9 * max(1.0, tr_neg)
+        assert stats.n_pos == stats.n_neg == size
+        assert_matches_oracle(feats, pairs, stats)
+        again = ecml.accumulate_stats(feats, pairs)
+        assert np.array_equal(again.sum_pos, stats.sum_pos)
+        assert np.array_equal(again.sum_neg, stats.sum_neg)
+        assert (again.tr_pos, again.tr_neg) == (stats.tr_pos, stats.tr_neg)
+
+    def test_peak_allocation_independent_of_pair_count(self):
+        # all differences at once would take 2 * count * dim * 8 bytes (82 MB)
+        rng = np.random.default_rng(3)
+        count, dim = 20_000, 256
+        feats = ecml.FeatureMatrix(rng.normal(size=(400, dim)))
+        pairs = random_pairs(rng, 400, np.arange(count) % 2)
+        tracemalloc.start()
+        try:
+            ecml.accumulate_stats(feats, pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (4 * metrics.STATS_CHUNK * dim + 4 * dim * dim)
+        assert peak <= bound < 2 * count * dim * 8
 
     def test_order_independent(self, rng):
         feats, _, pairs = clustered_problem(seed=8, count=400)
@@ -91,6 +138,25 @@ class TestAccumulateStats:
         scale = max(1.0, np.abs(whole.sum_pos).max())
         assert np.abs(merged.sum_pos - whole.sum_pos).max() <= 1e-9 * scale
         assert merged.n_pos == whole.n_pos and merged.n_neg == whole.n_neg
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    dim=st.integers(1, 8),
+    rank=st.integers(1, 8),
+    count=st.integers(2, 2 * metrics.STATS_CHUNK + 3),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_accumulated_stats_pass_public_checks(seed, dim, rank, count, log_scale):
+    # accumulate_stats skips the PSD check; its fields must still pass it
+    rng = np.random.default_rng(seed)
+    rank = min(rank, dim)
+    data = rng.normal(size=(30, rank)) @ rng.normal(scale=10.0**log_scale, size=(rank, dim))
+    labels = rng.permutation(np.arange(count) % 2)
+    stats = ecml.accumulate_stats(ecml.FeatureMatrix(data), random_pairs(rng, 30, labels))
+    fields = {f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)}
+    ecml.DifferenceStats(**fields)
 
 
 class TestDifferenceStatsInvariants:
