@@ -15,12 +15,10 @@ from .cascade import (
     StageModel,
     cascade_distance,
     fit_cascade,
-    fit_stage,
     group_counts,
     load_model,
     mcd,
     save_model,
-    sqrt_normalize,
     transform,
 )
 from .errors import (
@@ -57,7 +55,6 @@ from .features import (
     save_features,
     save_labels,
     save_pairs,
-    zero_pad,
 )
 from .metrics import (
     DEFAULT_LAMBDA,

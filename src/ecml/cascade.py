@@ -1,16 +1,18 @@
 """Ensemble cascade machinery.
 
-A cascade is L grouped learning stages followed by one plain metric. Each
-stage zero-pads its input to a multiple of the stage's group count, shuffles
-the padded dimensions with a seeded permutation, splits them into contiguous
-equal-width groups, fits the metric learner per group, factorizes each
-learned matrix through a PSD-clamping spectral decomposition, maps the group
-features through the resulting projection, and square-root normalizes the
-concatenated output. The final stage fits one ungrouped metric on the last
-stage's output and performs no mapping or normalization.
+A cascade is L grouped learning stages followed by one plain metric. A stage
+of G groups zero-pads its input to a multiple of G columns and shuffles them
+with a seeded permutation, once. The shuffled matrix splits into G contiguous
+equal-width groups: the metric learner is fit per group, ``mcd`` factorizes
+each learned matrix into a PSD-clamped projection P, and the same matrix is
+mapped group by group through its P and square-root normalized. The final
+stage fits one ungrouped metric on the last stage's output and performs no
+mapping or normalization. Padding is internal: stage widths follow from the
+input dimension and the group counts, and no padding helper is public.
 
-Inference replays the stored permutations and projections exactly, so a
-fitted model reproduces its training-time stage outputs bit for bit.
+Inference replays the stored permutations and projections through the same
+shuffle and mapping code, so a fitted model reproduces its training-time
+stage outputs bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from ._linalg import fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
-from .features import FeatureMatrix, PairSet, PcaModel, zero_pad
+from .features import FeatureMatrix, PairSet, PcaModel, _read_bytes
 from .metrics import MetricModel, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
@@ -107,13 +109,10 @@ class CascadeModel:
         stages = tuple(self.stages)
         if self.input_dim < 1:
             raise ValidationError("input_dim must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(
-                f"seed must lie in [0, 2**64) to fit the model file, got {self.seed}"
-            )
+        _check_seed(self.seed)
         dim = self.input_dim
         for s, stage in enumerate(stages):
-            padded = -(-dim // stage.group_count) * stage.group_count
+            padded = _padded_width(dim, stage.group_count)
             if stage.width != padded:
                 raise ValidationError(
                     f"stage {s} has width {stage.width}, but the previous output "
@@ -140,6 +139,11 @@ class CascadeModel:
     @property
     def learner(self) -> str:
         return self.final_metric.learner
+
+
+def _check_seed(seed):
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed must lie in [0, 2**64) to fit the model file, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,11 +182,6 @@ def _sqrt_norm(arr):
     return np.sign(arr) * np.sqrt(np.abs(arr))
 
 
-def sqrt_normalize(features: FeatureMatrix) -> FeatureMatrix:
-    """Elementwise signed square root, sgn(v) * |v|**0.5."""
-    return FeatureMatrix(_sqrt_norm(features.data))
-
-
 def group_counts(stage_count: int) -> list[int]:
     """Ensemble group counts per stage: 2**L, 2**(L-1), ..., 2."""
     if stage_count < 1:
@@ -190,19 +189,35 @@ def group_counts(stage_count: int) -> list[int]:
     return [2 ** (stage_count - l + 1) for l in range(1, stage_count + 1)]
 
 
-def fit_stage(features: FeatureMatrix, pairs: PairSet, n_groups, learner, seed):
-    """Fit one ensemble stage; returns (StageModel, stage output features)."""
-    return _fit_stage(features, pairs, n_groups, learner, np.random.default_rng(seed))
+def _padded_width(dim, n_groups):
+    """Stage width: ``dim`` rounded up to a multiple of ``n_groups``."""
+    return -(-dim // n_groups) * n_groups
+
+
+def _shuffle(x, perm):
+    """Zero-pad ``x`` to ``perm.size`` columns; column k of the result is padded column perm[k]."""
+    n, d = x.shape
+    if d < perm.size:
+        x = np.concatenate([x, np.zeros((n, perm.size - d))], axis=1)
+    return x.take(perm, axis=1)
+
+
+def _map_groups(stage: StageModel, shuffled) -> FeatureMatrix:
+    """Map and sqrt-normalize ``shuffled`` one group block at a time (block-sized temporaries)."""
+    out = np.empty_like(shuffled)
+    gdim = stage.group_dim
+    for g, proj in enumerate(stage.projections):
+        cols = slice(g * gdim, (g + 1) * gdim)
+        out[:, cols] = _sqrt_norm(shuffled[:, cols] @ proj.p)
+    return FeatureMatrix(out)
 
 
 def _fit_stage(features, pairs, n_groups, learner, rng):
-    if n_groups < 1:
-        raise ValidationError(f"group count must be >= 1, got {n_groups}")
-    padded = zero_pad(features, n_groups)
-    width = padded.dim
+    """Fit one ensemble stage; returns (StageModel, stage output features)."""
+    width = _padded_width(features.dim, n_groups)
     gdim = width // n_groups
     perm = rng.permutation(width)
-    shuffled = padded.data[:, perm]
+    shuffled = _shuffle(features.data, perm)
     projections = []
     for g in range(n_groups):
         block = shuffled[:, g * gdim : (g + 1) * gdim]
@@ -220,23 +235,7 @@ def _fit_stage(features, pairs, n_groups, learner, rng):
         group_dim=gdim,
         projections=tuple(projections),
     )
-    return stage, _apply_stage(stage, features)
-
-
-def _apply_stage(stage: StageModel, features: FeatureMatrix) -> FeatureMatrix:
-    # Single replay path: fitting and inference both produce stage outputs here.
-    padded = zero_pad(features, stage.group_count)
-    if padded.dim != stage.width:
-        raise ValidationError(
-            f"stage expects width {stage.width} after padding, got {padded.dim}"
-        )
-    shuffled = padded.data[:, stage.permutation]
-    gdim = stage.group_dim
-    blocks = [
-        _sqrt_norm(shuffled[:, g * gdim : (g + 1) * gdim] @ proj.p)
-        for g, proj in enumerate(stage.projections)
-    ]
-    return FeatureMatrix(np.hstack(blocks))
+    return stage, _map_groups(stage, shuffled)
 
 
 def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, seed) -> CascadeModel:
@@ -249,6 +248,13 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     """
     if stage_count < 0:
         raise ValidationError(f"stage count must be >= 0, got {stage_count}")
+    # more stage-0 groups than input dimensions leave groups of pure padding
+    if stage_count >= features.dim.bit_length():
+        raise ValidationError(
+            f"{stage_count} stages need at least 2**{stage_count} input dimensions, "
+            f"got {features.dim}"
+        )
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     stages = []
     current = features
@@ -279,7 +285,7 @@ def transform(model: CascadeModel, features: FeatureMatrix) -> FeatureMatrix:
         )
     current = features
     for stage in model.stages:
-        current = _apply_stage(stage, current)
+        current = _map_groups(stage, _shuffle(current.data, stage.permutation))
     return current
 
 
@@ -389,10 +395,7 @@ class _Cursor:
 
 def load_model(path):
     """Load a model file; returns (CascadeModel, PcaModel or None)."""
-    try:
-        buf = Path(path).read_bytes()
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read model file: {exc}") from exc
+    buf = _read_bytes(path)
     cur = _Cursor(buf, path)
     magic = cur.take(4, "magic")
     if magic != MODEL_MAGIC:

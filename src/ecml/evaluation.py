@@ -19,7 +19,7 @@ import numpy as np
 from ._linalg import freeze_array
 from .cascade import CascadeModel, cascade_distance
 from .errors import ValidationError
-from .features import FeatureMatrix, PairSet
+from .features import FeatureMatrix, PairSet, _read_text
 
 DEFAULT_BINS = 100
 # Pairs per distance_fn call in score_pairs. A constant, because BLAS picks
@@ -214,7 +214,7 @@ def save_report(report: EvalReport, path, roc_path=None) -> None:
 
 def load_report(path, roc_path=None) -> EvalReport:
     fields = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for lineno, line in enumerate(_read_text(path).splitlines()):
         if not line.strip():
             continue
         key, sep, value = line.partition("=")
@@ -222,22 +222,24 @@ def load_report(path, roc_path=None) -> EvalReport:
             raise ValidationError(f"{path}: line {lineno}: expected key=value, got {line!r}")
         fields[key.strip()] = value.strip()
     try:
-        eer = float(fields["eer"])
-        threshold = float(fields["threshold"])
-        kl = float(fields["kl"])
-        degenerate = fields.get("degenerate", "false") == "true"
+        eer, threshold, kl = (float(fields[key]) for key in ("eer", "threshold", "kl"))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing report field {exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    degenerate = fields.get("degenerate", "false") == "true"
     roc = np.empty((0, 3))
     if roc_path is not None:
         rows = []
-        text = Path(roc_path).read_text(encoding="utf-8").splitlines()
-        for lineno, line in enumerate(text):
+        for lineno, line in enumerate(_read_text(roc_path).splitlines()):
             if lineno == 0 or not line.strip():
                 continue
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValidationError(f"{roc_path}: line {lineno}: expected 3 columns")
-            rows.append([float(p) for p in parts])
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError as exc:
+                raise ValidationError(f"{roc_path}: line {lineno}: {exc}") from None
         roc = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
     return EvalReport(eer=eer, threshold=threshold, kl_pos_neg=kl, roc=roc, degenerate=degenerate)

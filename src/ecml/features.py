@@ -1,5 +1,5 @@
-"""Feature ingestion, PCA preprocessing, pair sampling, zero padding, and
-synthetic identity-cluster generation for desk-scale experiments.
+"""Feature ingestion, PCA preprocessing, pair sampling, and synthetic
+identity-cluster generation for desk-scale experiments.
 
 File formats
 ------------
@@ -175,7 +175,7 @@ def save_features(features: FeatureMatrix, path, fmt="csv") -> None:
 def _read_text(path):
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
 
 
@@ -257,20 +257,7 @@ def save_pairs(pairs: PairSet, path) -> None:
 
 
 def load_pairs(path) -> PairSet:
-    rows = []
-    for lineno, line in enumerate(_read_text(path).splitlines()):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValidationError(f"{path}: line {lineno}: expected 'i,j,y', got {line!r}")
-        try:
-            rows.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise ValidationError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no pairs")
-    arr = np.asarray(rows, dtype=np.int64)
+    arr = _load_int_lines(path, 3, "pairs")
     return PairSet(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
@@ -280,17 +267,33 @@ def save_labels(labels, path) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    vals = []
-    for lineno, line in enumerate(_read_text(path).splitlines()):
+    return _load_int_lines(path, 1, "labels")[:, 0]
+
+
+def _load_int_lines(path, fields, what) -> np.ndarray:
+    """Non-blank lines of ``fields`` comma-separated integers as an int64 array."""
+    lines = _read_text(path).splitlines()
+    rows = []
+    for lineno, line in enumerate(lines):
         if not line.strip():
             continue
+        parts = line.split(",")
+        if len(parts) != fields:
+            raise ValidationError(
+                f"{path}: line {lineno}: expected {fields} comma-separated integers, got {line!r}"
+            )
         try:
-            vals.append(int(line.strip()))
+            rows.append(tuple(map(int, parts)))
         except ValueError:
-            raise ValidationError(f"{path}: line {lineno}: non-integer label {line!r}") from None
-    if not vals:
-        raise ValidationError(f"{path}: no labels")
-    return np.asarray(vals, dtype=np.int64)
+            raise ValidationError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
+    if not rows:
+        raise ValidationError(f"{path}: no {what}")
+    try:
+        return np.asarray(rows, dtype=np.int64)
+    except OverflowError:
+        linenos = [n for n, line in enumerate(lines) if line.strip()]
+        k = next(k for k, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row))
+        raise ValidationError(f"{path}: line {linenos[k]}: integer out of int64 range") from None
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +369,7 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     if n_neg > neg_avail:
         raise ValidationError(f"requested {n_neg} unmatched pairs but only {neg_avail} exist")
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     sel = rng.choice(pos_avail, size=n_pos, replace=False)
     pi, pj = pos_i[sel], pos_j[sel]
 
@@ -385,6 +388,12 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     j = np.concatenate([pj, nj])
     y = np.concatenate([np.ones(n_pos, dtype=np.int64), np.zeros(n_neg, dtype=np.int64)])
     return PairSet(i, j, y)
+
+
+def _rng(seed):
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def _same_identity_pairs(labels):
@@ -423,19 +432,6 @@ def _reject_sample_negatives(labels, n_neg, rng):
     return np.asarray(out_i, dtype=np.int64), np.asarray(out_j, dtype=np.int64)
 
 
-def zero_pad(features: FeatureMatrix, multiple: int) -> FeatureMatrix:
-    """Append zero columns until the width is a multiple of ``multiple``."""
-    if multiple < 1:
-        raise ValidationError(f"padding multiple must be >= 1, got {multiple}")
-    d = features.dim
-    target = -(-d // multiple) * multiple
-    if target == d:
-        return features
-    padded = np.zeros((features.count, target), dtype=np.float64)
-    padded[:, :d] = features.data
-    return FeatureMatrix(padded)
-
-
 def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, seed):
     """Generate isotropic Gaussian identity clusters.
 
@@ -446,7 +442,7 @@ def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, s
         raise ValidationError("identities, samples_per_id, and dim must all be >= 1")
     if not (intra_spread > 0 and inter_spread > 0):
         raise ValidationError("spreads must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     means = rng.normal(0.0, inter_spread, size=(identities, dim))
     noise = rng.normal(0.0, intra_spread, size=(identities * samples_per_id, dim))
     data = np.repeat(means, samples_per_id, axis=0) + noise

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecml
-from ecml.cascade import _apply_stage
+from ecml.cascade import _fit_stage, _map_groups, _shuffle, _sqrt_norm
 from ecml.errors import SingularCovariance, ValidationError
 
 from conftest import clustered_problem, split_pairs
@@ -14,6 +14,16 @@ from conftest import clustered_problem, split_pairs
 
 def identity_learner(stats):
     return ecml.MetricModel(matrix=np.eye(stats.dim), learner="fixed-identity")
+
+
+@pytest.fixture
+def no_fitting(monkeypatch):
+    """Fail the test as soon as the cascade accumulates any pair statistics."""
+
+    def unreachable(*args):
+        raise AssertionError("fitting started")
+
+    monkeypatch.setattr(ecml.cascade, "accumulate_stats", unreachable)
 
 
 class TestMcd:
@@ -72,20 +82,17 @@ def test_mcd_never_negative_spectrum(seed, dim):
 
 class TestSqrtNormalize:
     def test_values(self):
-        m = ecml.FeatureMatrix([[4.0, -9.0, 0.0]])
-        out = ecml.sqrt_normalize(m)
-        assert np.array_equal(out.data, [[2.0, -3.0, 0.0]])
+        out = _sqrt_norm(np.asarray([[4.0, -9.0, 0.0]]))
+        assert np.array_equal(out, [[2.0, -3.0, 0.0]])
 
     def test_twice_is_fourth_root(self, rng):
         data = rng.normal(scale=5.0, size=(6, 4))
-        m = ecml.FeatureMatrix(data)
-        twice = ecml.sqrt_normalize(ecml.sqrt_normalize(m))
+        twice = _sqrt_norm(_sqrt_norm(data))
         want = np.sign(data) * np.abs(data) ** 0.25
-        assert np.allclose(twice.data, want, atol=1e-12)
+        assert np.allclose(twice, want, atol=1e-12)
 
     def test_shape_preserved(self, rng):
-        m = ecml.FeatureMatrix(rng.normal(size=(3, 7)))
-        assert ecml.sqrt_normalize(m).data.shape == (3, 7)
+        assert _sqrt_norm(rng.normal(size=(3, 7))).shape == (3, 7)
 
 
 class TestGroupCounts:
@@ -106,7 +113,9 @@ class TestGroupCounts:
 class TestFitStage:
     def test_shapes(self):
         feats, _, pairs = clustered_problem(seed=3, dim=16)
-        stage, out = ecml.fit_stage(feats, pairs, 4, ecml.make_learner("rmml", 0.1), seed=0)
+        stage, out = _fit_stage(
+            feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(0)
+        )
         assert stage.group_count == 4 and stage.group_dim == 4
         assert len(stage.projections) == 4
         assert all(p.p.shape == (4, 4) for p in stage.projections)
@@ -114,8 +123,12 @@ class TestFitStage:
 
     def test_deterministic(self):
         feats, _, pairs = clustered_problem(seed=4, dim=12)
-        a_stage, a_out = ecml.fit_stage(feats, pairs, 3, ecml.make_learner("rmml", 0.1), seed=9)
-        b_stage, b_out = ecml.fit_stage(feats, pairs, 3, ecml.make_learner("rmml", 0.1), seed=9)
+        a_stage, a_out = _fit_stage(
+            feats, pairs, 3, ecml.make_learner("rmml", 0.1), np.random.default_rng(9)
+        )
+        b_stage, b_out = _fit_stage(
+            feats, pairs, 3, ecml.make_learner("rmml", 0.1), np.random.default_rng(9)
+        )
         assert np.array_equal(a_stage.permutation, b_stage.permutation)
         for pa, pb in zip(a_stage.projections, b_stage.projections):
             assert np.array_equal(pa.p, pb.p)
@@ -125,7 +138,7 @@ class TestFitStage:
         # orthogonal per-group maps: pairwise distances before normalization
         # match the raw features even though coordinates may differ
         feats, _, pairs = clustered_problem(seed=5, dim=8)
-        stage, _ = ecml.fit_stage(feats, pairs, 1, identity_learner, seed=1)
+        stage, _ = _fit_stage(feats, pairs, 1, identity_learner, np.random.default_rng(1))
         proj = stage.projections[0]
         assert np.allclose(proj.p.T @ proj.p, np.eye(8), atol=1e-10)
         shuffled = feats.data[:, stage.permutation]
@@ -136,29 +149,34 @@ class TestFitStage:
 
     def test_output_is_sqrt_normalized_projection(self):
         feats, _, pairs = clustered_problem(seed=6, dim=8)
-        stage, out = ecml.fit_stage(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=2)
-        assert np.array_equal(out.data, _apply_stage(stage, feats).data)
+        stage, out = _fit_stage(
+            feats, pairs, 2, ecml.make_learner("rmml", 0.1), np.random.default_rng(2)
+        )
+        replayed = _map_groups(stage, _shuffle(feats.data, stage.permutation))
+        assert np.array_equal(out.data, replayed.data)
 
     def test_padding_widens_stage(self):
         feats, _, pairs = clustered_problem(seed=7, dim=10)
-        stage, out = ecml.fit_stage(feats, pairs, 4, ecml.make_learner("rmml", 0.1), seed=3)
+        stage, out = _fit_stage(
+            feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(3)
+        )
         assert stage.width == 12 and out.dim == 12
         # padded columns stay zero through the permutation bookkeeping
-        padded = ecml.zero_pad(feats, 4)
-        assert np.array_equal(padded.data[:, 10:], np.zeros((feats.count, 2)))
+        padded = _shuffle(feats.data, np.arange(12))
+        assert np.array_equal(padded[:, 10:], np.zeros((feats.count, 2)))
 
     def test_single_live_dimension_group_degenerates(self):
         # a group whose only live dimension survives padding has an exactly
         # zero trace-normalized contrast; the stage aborts with group context
         feats, _, pairs = clustered_problem(seed=7, dim=9)
         with pytest.raises(ecml.DegenerateStats, match="ensemble group"):
-            ecml.fit_stage(feats, pairs, 8, ecml.make_learner("rmml", 0.1), seed=3)
+            _fit_stage(feats, pairs, 8, ecml.make_learner("rmml", 0.1), np.random.default_rng(3))
 
     def test_group_fits_are_independent(self):
         # refit each group in isolation from its permuted slice: projections match
         feats, _, pairs = clustered_problem(seed=8, dim=12)
         learner = ecml.make_learner("rmml", 0.1)
-        stage, _ = ecml.fit_stage(feats, pairs, 3, learner, seed=4)
+        stage, _ = _fit_stage(feats, pairs, 3, learner, np.random.default_rng(4))
         shuffled = feats.data[:, stage.permutation]
         for g in reversed(range(3)):
             block = ecml.FeatureMatrix(shuffled[:, g * 4 : (g + 1) * 4])
@@ -170,9 +188,9 @@ class TestFitStage:
         # padded zero columns make a group covariance singular for kissme
         feats, _, pairs = clustered_problem(seed=9, dim=10)
         with pytest.raises(SingularCovariance, match="ensemble group"):
-            ecml.fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), seed=5)
+            _fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
         try:
-            ecml.fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), seed=5)
+            _fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
         except SingularCovariance as exc:
             assert hasattr(exc, "group_index")
 
@@ -196,6 +214,18 @@ class TestFitCascade:
         feats, _, pairs = clustered_problem(seed=12)
         with pytest.raises(ValidationError):
             ecml.fit_cascade(feats, pairs, -1, ecml.make_learner("rmml", 0.1), seed=0)
+
+    def test_more_groups_than_dimensions_fails_before_fitting(self, no_fitting):
+        # 5 stages put 2**5 = 32 groups on 16 dimensions: half would be pure padding
+        feats, _, pairs = clustered_problem(seed=12, dim=16)
+        with pytest.raises(ValidationError, match=r"2\*\*5 input dimensions, got 16"):
+            ecml.fit_cascade(feats, pairs, 5, ecml.make_learner("rmml", 0.1), seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_model_format_fails_before_fitting(self, no_fitting, seed):
+        feats, _, pairs = clustered_problem(seed=12, dim=8)
+        with pytest.raises(ValidationError, match=r"2\*\*64"):
+            ecml.fit_cascade(feats, pairs, 1, ecml.make_learner("rmml", 0.1), seed=seed)
 
     def test_stage_failure_carries_stage_index(self):
         feats, _, pairs = clustered_problem(seed=13, dim=10)
@@ -225,6 +255,27 @@ class TestTransformAndDistance:
         feats, _, pairs = clustered_problem(seed=16)
         model = ecml.fit_cascade(feats, pairs, 0, ecml.make_learner("rmml", 0.5), seed=0)
         assert ecml.transform(model, feats) is feats
+
+    def test_stage_outputs_match_pad_then_permute_reference(self):
+        # 10 dims pad to 12 in both stages; the reference pads, permutes, maps
+        # each group, normalizes and concatenates, as separate steps
+        feats, _, pairs = clustered_problem(seed=17, dim=10)
+        model = ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=5)
+        assert [s.width for s in model.stages] == [12, 12]
+        data = np.vstack([feats.data[:20], np.zeros((1, 10)), np.full((1, 10), -0.0)])
+        want = data
+        for stage in model.stages:
+            padded = np.pad(want, ((0, 0), (0, stage.width - want.shape[1])))
+            shuffled = padded[:, stage.permutation]
+            gdim = stage.group_dim
+            want = np.hstack([
+                _sqrt_norm(shuffled[:, g * gdim : (g + 1) * gdim] @ proj.p)
+                for g, proj in enumerate(stage.projections)
+            ])
+        got = ecml.transform(model, ecml.FeatureMatrix(data)).data
+        # compared as bit patterns, so a +0.0 / -0.0 mismatch fails too
+        assert (want == 0.0).any()
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_dim_mismatch(self):
         feats, _, pairs = clustered_problem(seed=17, dim=8)

@@ -69,7 +69,33 @@ class TestSynth:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "synth", "--seed", "-1", "--features", str(tmp_path / "f.csv"),
+            "--labels", str(tmp_path / "l.csv"), "--pairs", str(tmp_path / "p.csv"),
+        )
+        assert code == 2 and "seed" in err
+        assert not (tmp_path / "f.csv").exists()
+
+
 class TestPairsCommand:
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        ecml.save_labels(np.repeat(np.arange(5), 4), tmp_path / "l.csv")
+        code, _, err = run(
+            capsys, "pairs", "--labels", str(tmp_path / "l.csv"), "--seed", "-3",
+            "--count", "10", "--pairs", str(tmp_path / "p.csv"),
+        )
+        assert code == 2 and "seed" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_label_beyond_int64_exit_code(self, tmp_path, capsys):
+        (tmp_path / "l.csv").write_text(f"0\n0\n1\n{2**64}\n")
+        code, _, err = run(
+            capsys, "pairs", "--labels", str(tmp_path / "l.csv"),
+            "--count", "2", "--pairs", str(tmp_path / "p.csv"),
+        )
+        assert code == 2 and "line 3" in err
+
     def test_split_counting(self, tmp_path, capsys):
         labels = np.repeat(np.arange(50), 20)
         ecml.save_labels(labels, tmp_path / "l.csv")
@@ -193,6 +219,16 @@ class TestFit:
         assert model.seed == 2**64 - 1
         with pytest.raises(ecml.ValidationError):
             dataclasses.replace(model, seed=2**64)
+
+    def test_more_groups_than_dimensions_exit_code(self, workspace, capsys):
+        # 2**64 stage-0 groups for 16 dimensions
+        code, _, err = run(
+            capsys, "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "x.ecml"),
+            "--cascade", "--stages", "64",
+        )
+        assert code == 2 and "64 stages" in err
+        assert not (workspace / "x.ecml").exists()
 
     def test_missing_features_flag(self, workspace, capsys):
         code, _, err = run(
@@ -463,3 +499,11 @@ class TestGoldenModelBytes:
             "--count", "6000", "--seed", "1",
         )
         assert hashes == ["88902763acb0a5e8bb431209faac50499bbf69d5f31cc35ead4def4332a3c7c0"] * 2
+
+    def test_stage_zero_pads_30_to_32(self, tmp_path):
+        # 30 input dimensions do not split into 8 groups: stage 0 pads to 32
+        hashes = self.fit_hashes(
+            tmp_path, "--ids", "40", "--samples-per-id", "10", "--dim", "30",
+            "--count", "2400", "--seed", "0",
+        )
+        assert hashes == ["76bc3c2b9fe47ef1302e36ba41d69697253558ee9373678d00968ffe7b29d255"] * 2

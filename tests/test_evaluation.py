@@ -219,6 +219,16 @@ class TestReport:
         back = ecml.load_report(path)
         assert back.eer == 0.25 and back.roc.shape == (0, 3)
 
+    def test_report_field_not_a_number(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text("eer=abc\nthreshold=1.0\nkl=0.5\n")
+        with pytest.raises(ValidationError, match="abc"):
+            ecml.load_report(path)
+
+    def test_report_file_missing(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot read"):
+            ecml.load_report(tmp_path / "absent.txt")
+
     def test_eer_validated(self):
         with pytest.raises(ValidationError):
             ecml.EvalReport(eer=1.5, threshold=0.0, kl_pos_neg=0.0)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecml
+from ecml.cascade import _shuffle
 from ecml.errors import ValidationError
 
 
@@ -208,6 +209,10 @@ class TestSamplePairs:
         with pytest.raises(ValidationError, match="matched pairs"):
             ecml.sample_pairs(labels, 10, 0.9, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            ecml.sample_pairs([0, 0, 1, 1], 2, 0.5, seed=-3)
+
     def test_rejection_path_matches_contracts(self):
         # big enough sample count to take the rejection-sampling branch
         labels = np.repeat(np.arange(500), 5)
@@ -220,26 +225,17 @@ class TestSamplePairs:
 
 
 class TestZeroPad:
+    # padding lives in the cascade's shuffle; an identity permutation shows it
     def test_pads_up(self):
         m = ecml.FeatureMatrix(np.arange(20.0).reshape(2, 10))
-        out = ecml.zero_pad(m, 4)
-        assert out.dim == 12
-        assert np.array_equal(out.data[:, :10], m.data)
-        assert np.array_equal(out.data[:, 10:], np.zeros((2, 2)))
+        out = _shuffle(m.data, np.arange(12))
+        assert out.shape == (2, 12)
+        assert np.array_equal(out[:, :10], m.data)
+        assert np.array_equal(out[:, 10:], np.zeros((2, 2)))
 
     def test_exact_multiple_unchanged(self):
         m = ecml.FeatureMatrix(np.ones((3, 8)))
-        assert ecml.zero_pad(m, 4) is m
-
-    def test_idempotent(self):
-        m = ecml.FeatureMatrix(np.ones((3, 7)))
-        once = ecml.zero_pad(m, 8)
-        assert once.dim == 8
-        assert ecml.zero_pad(once, 8) is once
-
-    def test_bad_multiple(self):
-        with pytest.raises(ValidationError):
-            ecml.zero_pad(ecml.FeatureMatrix(np.ones((1, 1))), 0)
+        assert np.array_equal(_shuffle(m.data, np.arange(8)), m.data)
 
 
 class TestGenSynthetic:
@@ -261,6 +257,10 @@ class TestGenSynthetic:
         np.fill_diagonal(d2, np.inf)
         nn = labels[np.argmin(d2, axis=1)]
         assert (nn == labels).mean() > 0.95
+
+    def test_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            ecml.gen_synthetic(2, 5, 3, 1.0, 1.0, seed=-1)
 
     def test_bad_params(self):
         with pytest.raises(ValidationError):
@@ -284,6 +284,24 @@ class TestPairAndLabelFiles:
         path.write_text("0,1\n")
         with pytest.raises(ValidationError, match="line 0"):
             ecml.load_pairs(path)
+
+    def test_pair_index_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(f"0,1,1\n\n2,{2**63},0\n")
+        with pytest.raises(ValidationError, match="line 2: integer out of int64 range"):
+            ecml.load_pairs(path)
+
+    def test_label_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_text(f"3\n{-(2**63) - 1}\n")
+        with pytest.raises(ValidationError, match="line 1: integer out of int64 range"):
+            ecml.load_labels(path)
+
+    def test_label_file_not_utf8(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"\xff\xfe1\n")
+        with pytest.raises(ValidationError, match="cannot read"):
+            ecml.load_labels(path)
 
     def test_label_roundtrip(self, tmp_path):
         path = tmp_path / "l.csv"
