@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from ._linalg import fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
-from .features import FeatureMatrix, PairSet, PcaModel, _read_bytes
+from .features import FeatureMatrix, PairSet, PcaModel, _read_bytes, _write_bytes
 from .metrics import MetricModel, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
@@ -360,7 +359,7 @@ def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
         chunks.append(struct.pack("<II", pca.input_dim, pca.k))
         chunks.append(np.ascontiguousarray(pca.mean, dtype="<f8").tobytes())
         chunks.append(np.ascontiguousarray(pca.basis, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(chunks))
+    _write_bytes(path, chunks)
 
 
 class _Cursor:

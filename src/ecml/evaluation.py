@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from ._linalg import freeze_array
 from .cascade import CascadeModel, cascade_distance
 from .errors import ValidationError
-from .features import FeatureMatrix, PairSet, _read_text
+from .features import FeatureMatrix, PairSet, _read_text, _write_bytes
 
 DEFAULT_BINS = 100
 # Pairs per distance_fn call in score_pairs. A constant, because BLAS picks
@@ -196,20 +195,24 @@ def build_report(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> EvalReport:
 # report persistence: flat key=value text plus an optional ROC CSV table
 
 
-def save_report(report: EvalReport, path, roc_path=None) -> None:
-    lines = [
+def report_lines(report: EvalReport) -> list[str]:
+    """The ``key=value`` lines of a report file, without the ROC table."""
+    return [
         f"eer={report.eer!r}",
         f"threshold={report.threshold!r}",
         f"kl={report.kl_pos_neg!r}",
         f"degenerate={'true' if report.degenerate else 'false'}",
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def save_report(report: EvalReport, path, roc_path=None) -> None:
+    _write_bytes(path, [("\n".join(report_lines(report)) + "\n").encode("utf-8")])
     if roc_path is not None:
         rows = ["threshold,far,frr"]
         rows.extend(
             f"{float(t)!r},{float(a)!r},{float(r)!r}" for t, a, r in report.roc
         )
-        Path(roc_path).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        _write_bytes(roc_path, [("\n".join(rows) + "\n").encode("utf-8")])
 
 
 def load_report(path, roc_path=None) -> EvalReport:

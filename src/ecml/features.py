@@ -162,12 +162,11 @@ def save_features(features: FeatureMatrix, path, fmt="csv") -> None:
         lines = [f"# dim={features.dim} count={features.count}"]
         for row in features.data:
             lines.append(",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])
     elif fmt == "raw-binary":
-        with open(path, "wb") as fh:
-            fh.write(FEATURE_MAGIC)
-            fh.write(struct.pack("<QQ", features.count, features.dim))
-            fh.write(np.ascontiguousarray(features.data, dtype="<f8").tobytes())
+        header = FEATURE_MAGIC + struct.pack("<QQ", features.count, features.dim)
+        # the frozen matrix is written through its buffer, not copied
+        _write_bytes(path, [header, np.ascontiguousarray(features.data, dtype="<f8")])
     else:
         raise ValidationError(f"unknown feature format {fmt!r}; expected one of {FEATURE_FORMATS}")
 
@@ -184,6 +183,16 @@ def _read_bytes(path):
         return Path(path).read_bytes()
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
+
+
+def _write_bytes(path, chunks):
+    """Write byte chunks (any C-contiguous buffers) to ``path`` in order."""
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot write file: {exc}") from exc
 
 
 def _load_csv(path) -> FeatureMatrix:
@@ -253,7 +262,7 @@ def _load_binary(path) -> FeatureMatrix:
 
 def save_pairs(pairs: PairSet, path) -> None:
     lines = [f"{int(a)},{int(b)},{int(c)}" for a, b, c in zip(pairs.i, pairs.j, pairs.y)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])
 
 
 def load_pairs(path) -> PairSet:
@@ -263,7 +272,7 @@ def load_pairs(path) -> PairSet:
 
 def save_labels(labels, path) -> None:
     labels = np.asarray(labels, dtype=np.int64)
-    Path(path).write_text("\n".join(str(int(v)) for v in labels) + "\n", encoding="utf-8")
+    _write_bytes(path, [("\n".join(str(int(v)) for v in labels) + "\n").encode("utf-8")])
 
 
 def load_labels(path) -> np.ndarray:

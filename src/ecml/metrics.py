@@ -182,8 +182,7 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
     the absolute eigenvalues of C, which puts C on the magnitude of the
     identity. No covariance inversion is involved anywhere on this path.
     """
-    if lam < 0:
-        raise ValidationError(f"lambda must be nonnegative, got {lam}")
+    _check_lambda(lam)
     if stats.tr_pos <= 0.0:
         raise DegenerateStats("all matched pair differences are zero (tr_pos = 0)")
     if stats.tr_neg <= 0.0:
@@ -194,6 +193,11 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
         raise DegenerateStats(f"contrast matrix is numerically zero (mean |eigenvalue| = {rho:.3e})")
     m = np.eye(stats.dim) + lam * (contrast / rho)
     return MetricModel(matrix=m, learner="rmml", lam=float(lam), rho=rho)
+
+
+def _check_lambda(lam):
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and nonnegative, got {lam}")
 
 
 def _spd_inverse(sigma, label):
@@ -256,7 +260,12 @@ def objective(stats: DifferenceStats, matrix, lam: float) -> float:
 
 
 def make_learner(name: str, lam: float | None = None):
-    """Return a ``stats -> MetricModel`` callable for a named learner."""
+    """Return a ``stats -> MetricModel`` callable for a named learner.
+
+    A given ``lam`` is checked for every learner, although only rmml uses it.
+    """
+    if lam is not None:
+        _check_lambda(lam)
     if name == "rmml":
         return functools.partial(fit_rmml, lam=DEFAULT_LAMBDA if lam is None else float(lam))
     if name == "kissme":

@@ -264,6 +264,93 @@ class TestFit:
         assert "covariance" in err
 
 
+class TestConfigContract:
+    """How a --config file combines with flags and built-in defaults."""
+
+    def fit_with_config(self, workspace, capsys, config, *flags):
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({
+            "features": str(workspace / "f.csv"),
+            "pairs": str(workspace / "p.csv"),
+            "model": str(workspace / "c.ecml"),
+            **config,
+        }))
+        code, out, err = run(capsys, "fit", "--config", str(cfg), *flags)
+        assert code == 0, err
+        model, _ = ecml.load_model(workspace / "c.ecml")
+        return model.final_metric.lam, model.seed, model.stage_count
+
+    @pytest.mark.parametrize("config, flags, expected", [
+        # a JSON null counts as not set
+        ({"lambda": None, "seed": None, "cascade": None}, [], (0.5, 0, 0)),
+        # keys of other subcommands are accepted and ignored
+        ({"bins": 7, "ids": 3, "output": "unused.csv"}, [], (0.5, 0, 0)),
+        ({"cascade": True, "stages": 2, "seed": 4}, [], (0.1, 4, 2)),
+        # a flag beats the file, also to switch a boolean off
+        ({"cascade": True, "stages": 2}, ["--no-cascade"], (0.5, 0, 0)),
+        ({"lambda": 1}, ["--seed", "6"], (1.0, 6, 0)),
+    ], ids=["null", "foreign-keys", "cascade", "no-cascade-flag", "flag-and-file"])
+    def test_fit_config(self, workspace, capsys, config, flags, expected):
+        assert self.fit_with_config(workspace, capsys, config, *flags) == expected
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_eval_model_from_config(self, workspace, capsys, as_list):
+        model = str(workspace / "m.ecml")
+        run(
+            capsys, "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", model,
+        )
+        data = ["--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv")]
+        code, expected, _ = run(capsys, "eval", "--model", model, *data)
+        assert code == 0
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps({"model": [model] if as_list else model}))
+        code, out, err = run(capsys, "eval", "--config", str(cfg), *data)
+        assert code == 0, err
+        assert out == expected
+
+    @pytest.mark.parametrize("flags, option", [
+        (["--cascade", "--stages", "0"], "stage"),
+        (["--stages", "-1"], "stage"),
+        (["--lambda", "-1"], "lambda"),
+        (["--learner", "kissme", "--lambda", "-1"], "lambda"),
+        (["--lambda", "nan"], "lambda"),
+        (["--lambda", "inf"], "lambda"),
+        (["--pca-dim", "0"], "pca"),
+        (["--seed", "-1"], "seed"),
+    ], ids=[
+        "cascade-stages-0", "stages-neg", "lambda-neg", "kissme-lambda-neg", "lambda-nan",
+        "lambda-inf", "pca-dim-0", "seed-neg",
+    ])
+    def test_rejected_fit_value(self, workspace, capsys, flags, option):
+        code, _, err = run(
+            capsys, "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "x.ecml"), *flags,
+        )
+        assert code == 2 and option in err
+        assert not (workspace / "x.ecml").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--features", "{w}/f.csv", "--pairs", "{w}/p.csv", "--model", "{out}"],
+    ["eval", "--model", "{w}/m.ecml", "--features", "{w}/f.csv", "--pairs", "{w}/p.csv",
+     "--report", "{out}"],
+    ["transform", "--model", "{w}/m.ecml", "--features", "{w}/f.csv", "--output", "{out}"],
+    ["synth", "--features", "{out}", "--labels", "{w}/l2.csv", "--pairs", "{w}/p2.csv"],
+    ["synth", "--features", "{w}/f2.csv", "--labels", "{out}", "--pairs", "{w}/p2.csv"],
+], ids=["fit-model", "eval-report", "transform-output", "synth-features", "synth-labels"])
+def test_unwritable_output_exit_code(workspace, capsys, argv):
+    run(
+        capsys, "fit", "--features", str(workspace / "f.csv"),
+        "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "m.ecml"),
+    )
+    out = workspace / "missing" / "x"
+    if argv[0] == "synth":
+        argv = [*argv, "--ids", "4", "--samples-per-id", "4", "--dim", "4", "--count", "20"]
+    code, _, err = run(capsys, *(a.format(w=workspace, out=out) for a in argv))
+    assert code == 2 and f"{out}: cannot write file" in err
+
+
 class TestEval:
     def fit_model(self, workspace, capsys, name="m.ecml", *extra):
         run(

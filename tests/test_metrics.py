@@ -234,6 +234,11 @@ class TestFitRmml:
         with pytest.raises(ValidationError):
             ecml.fit_rmml(make_stats(rng, 3), -0.1)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+    def test_non_finite_lambda_rejected(self, rng, lam):
+        with pytest.raises(ValidationError, match="lambda"):
+            ecml.fit_rmml(make_stats(rng, 3), lam)
+
     def test_pair_order_invariance(self, rng):
         feats, _, pairs = clustered_problem(seed=13, count=500)
         perm = rng.permutation(len(pairs))
@@ -393,3 +398,9 @@ class TestMakeLearner:
     def test_rmml_default_lambda(self, rng):
         stats = make_stats(rng, 3)
         assert ecml.make_learner("rmml")(stats).lam == ecml.DEFAULT_LAMBDA
+
+    @pytest.mark.parametrize("name", ["rmml", "kissme", "genuine-baseline"])
+    @pytest.mark.parametrize("lam", [-0.1, float("nan"), float("inf")])
+    def test_bad_lambda_rejected_for_every_learner(self, name, lam):
+        with pytest.raises(ValidationError, match="lambda"):
+            ecml.make_learner(name, lam)
