@@ -30,7 +30,6 @@ from .errors import (
 )
 from .evaluation import (
     DEFAULT_BINS,
-    EerResult,
     EvalReport,
     ScoredPairs,
     build_report,

@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -129,9 +130,13 @@ def cmd_synth(args):
         )
         pairs = feat.sample_pairs(labels, args.count, args.pos_fraction, args.seed)
     with _phase("write"):
-        feat.save_features(matrix, args.features, args.fmt)
-        feat.save_labels(labels, args.labels)
-        feat.save_pairs(pairs, args.pairs)
+        with ExitStack() as undo:  # a failed write removes the files written before it
+            feat.save_features(matrix, args.features, args.fmt)
+            undo.callback(Path(args.features).unlink, missing_ok=True)
+            feat.save_labels(labels, args.labels)
+            undo.callback(Path(args.labels).unlink, missing_ok=True)
+            feat.save_pairs(pairs, args.pairs)
+            undo.pop_all()
     print(f"seed: {args.seed}")
     print(f"features: {args.features} ({matrix.count}x{matrix.dim}, {args.fmt})")
     print(f"labels: {args.labels}")
@@ -193,6 +198,7 @@ def cmd_eval(args):
     if not model_paths:
         raise ValidationError("--model is required")
     _require(args, "features", "pairs")
+    ev._check_bins(args.bins)
     with _phase("load"):
         matrix = feat.load_features(args.features, args.fmt)
         pairs = feat.load_pairs(args.pairs)
@@ -217,7 +223,7 @@ def cmd_eval(args):
         if len(reports) == 1:
             ev.save_report(reports[0][1], args.report, roc_path=f"{args.report}.roc.csv")
         else:
-            feat._write_bytes(args.report, [("\n".join(lines) + "\n").encode("utf-8")])
+            feat._write_lines(args.report, lines)
     return EXIT_OK
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import freeze_array
 from .cascade import CascadeModel, cascade_distance
 from .errors import ValidationError
-from .features import FeatureMatrix, PairSet, _read_text, _write_bytes
+from .features import FeatureMatrix, PairSet, _parse_table, _read_rows, _write_lines
 
 DEFAULT_BINS = 100
 # Pairs per distance_fn call in score_pairs. A constant, because BLAS picks
@@ -83,8 +83,10 @@ class EvalReport:
         roc = np.asarray(self.roc, dtype=np.float64).reshape(-1, 3)
         if not 0.0 <= self.eer <= 1.0:
             raise ValidationError(f"eer must lie in [0, 1], got {self.eer}")
-        if self.kl_pos_neg < 0.0:
-            raise ValidationError(f"kl must be nonnegative, got {self.kl_pos_neg}")
+        if not np.isfinite(self.threshold):
+            raise ValidationError(f"threshold must be finite, got {self.threshold}")
+        if not 0.0 <= self.kl_pos_neg < np.inf:
+            raise ValidationError(f"kl must be finite and nonnegative, got {self.kl_pos_neg}")
         object.__setattr__(self, "eer", float(self.eer))
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "kl_pos_neg", float(self.kl_pos_neg))
@@ -134,7 +136,10 @@ def compute_eer(scored: ScoredPairs) -> EerResult:
     undefined and (0.5, score, degenerate=True) is returned. The value is a
     rank statistic: strictly increasing score transformations preserve it.
     """
-    thresholds, far, frr = _operating_points(scored)
+    return _eer(*_operating_points(scored))
+
+
+def _eer(thresholds, far, frr) -> EerResult:
     if thresholds.size == 1:
         return EerResult(eer=0.5, threshold=float(thresholds[0]), degenerate=True)
     diff = far - frr
@@ -147,6 +152,11 @@ def compute_eer(scored: ScoredPairs) -> EerResult:
     return EerResult(eer=float(eer), threshold=float(thr))
 
 
+def _check_bins(bins):
+    if bins < 1:
+        raise ValidationError(f"bins must be >= 1, got {bins}")
+
+
 def kl_divergence(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> float:
     """KL(Pos||Neg) in nats between histogram estimates of the two score
     distributions.
@@ -156,8 +166,7 @@ def kl_divergence(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> float:
     normalization. Estimates depend on ``bins``; with heavily separated
     distributions the smoothing inflates bins observed on one side only.
     """
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    _check_bins(bins)
     scores = scored.scores
     lo, hi = float(scores.min()), float(scores.max())
     if lo == hi:
@@ -173,21 +182,16 @@ def kl_divergence(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> float:
 
 def build_report(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> EvalReport:
     """Assemble the full report; ROC rows hold (threshold, far, frr) with
-    thresholds descending so FAR is non-increasing down the table."""
-    res = compute_eer(scored)
-    if res.degenerate:
-        thr = np.asarray([res.threshold])
-        roc = np.column_stack([thr, [0.0], [0.0]])
-        return EvalReport(
-            eer=res.eer, threshold=res.threshold, kl_pos_neg=0.0, roc=roc, degenerate=True
-        )
-    thresholds, far, frr = _operating_points(scored)
-    roc = np.column_stack([thresholds, far, frr])[::-1]
+    thresholds descending so FAR is non-increasing down the table. A
+    degenerate report (every score identical) has KL 0 and one ROC row."""
+    points = _operating_points(scored)
+    res = _eer(*points)
     return EvalReport(
         eer=res.eer,
         threshold=res.threshold,
-        kl_pos_neg=kl_divergence(scored, bins),
-        roc=roc,
+        kl_pos_neg=0.0 if res.degenerate else kl_divergence(scored, bins),
+        roc=np.column_stack(points)[::-1],
+        degenerate=res.degenerate,
     )
 
 
@@ -206,20 +210,15 @@ def report_lines(report: EvalReport) -> list[str]:
 
 
 def save_report(report: EvalReport, path, roc_path=None) -> None:
-    _write_bytes(path, [("\n".join(report_lines(report)) + "\n").encode("utf-8")])
+    _write_lines(path, report_lines(report))
     if roc_path is not None:
-        rows = ["threshold,far,frr"]
-        rows.extend(
-            f"{float(t)!r},{float(a)!r},{float(r)!r}" for t, a, r in report.roc
-        )
-        _write_bytes(roc_path, [("\n".join(rows) + "\n").encode("utf-8")])
+        rows = (f"{t!r},{a!r},{r!r}" for t, a, r in report.roc.tolist())
+        _write_lines(roc_path, ["threshold,far,frr", *rows])
 
 
 def load_report(path, roc_path=None) -> EvalReport:
     fields = {}
-    for lineno, line in enumerate(_read_text(path).splitlines()):
-        if not line.strip():
-            continue
+    for lineno, line in _read_rows(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise ValidationError(f"{path}: line {lineno}: expected key=value, got {line!r}")
@@ -231,18 +230,7 @@ def load_report(path, roc_path=None) -> EvalReport:
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     degenerate = fields.get("degenerate", "false") == "true"
-    roc = np.empty((0, 3))
-    if roc_path is not None:
-        rows = []
-        for lineno, line in enumerate(_read_text(roc_path).splitlines()):
-            if lineno == 0 or not line.strip():
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValidationError(f"{roc_path}: line {lineno}: expected 3 columns")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ValidationError(f"{roc_path}: line {lineno}: {exc}") from None
-        roc = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
+    # file line 0 of the ROC table is its header
+    rows = [] if roc_path is None else [row for row in _read_rows(roc_path) if row[0] > 0]
+    roc = _parse_table(roc_path, rows, float, 3) if rows else ()
     return EvalReport(eer=eer, threshold=threshold, kl_pos_neg=kl, roc=roc, degenerate=degenerate)

@@ -3,8 +3,11 @@ identity-cluster generation for desk-scale experiments.
 
 File formats
 ------------
-CSV features: one sample per line, comma-separated decimal floats, with an
-optional leading header line ``# dim=D count=N``.
+Text files are UTF-8 and blank lines in them are ignored; a parse error names
+the 0-based file line and the row and column of the offending cell.
+
+CSV features: one sample per line, comma-separated finite decimal floats,
+with an optional header ``# dim=D count=N`` on the first line of the file.
 
 Raw binary features: magic ``CMF1``, little-endian u64 N, u64 D, then N*D
 little-endian float64 values in row-major order.
@@ -16,7 +19,7 @@ Label files: one integer identity id per line.
 
 from __future__ import annotations
 
-import math
+import itertools
 import re
 import struct
 from dataclasses import dataclass
@@ -159,10 +162,9 @@ def load_features(path, fmt="csv") -> FeatureMatrix:
 def save_features(features: FeatureMatrix, path, fmt="csv") -> None:
     """Write a feature matrix; a save/load round trip is bit-exact."""
     if fmt == "csv":
-        lines = [f"# dim={features.dim} count={features.count}"]
-        for row in features.data:
-            lines.append(",".join(repr(float(v)) for v in row))
-        _write_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])
+        header = f"# dim={features.dim} count={features.count}"
+        rows = (",".join(map(repr, row.tolist())) for row in features.data)
+        _write_lines(path, [header, *rows])
     elif fmt == "raw-binary":
         header = FEATURE_MAGIC + struct.pack("<QQ", features.count, features.dim)
         # the frozen matrix is written through its buffer, not copied
@@ -195,44 +197,72 @@ def _write_bytes(path, chunks):
         raise ValidationError(f"{path}: cannot write file: {exc}") from exc
 
 
-def _load_csv(path) -> FeatureMatrix:
-    lines = _read_text(path).splitlines()
-    declared = None
-    start = 0
-    if lines and lines[0].lstrip().startswith("#"):
-        m = _HEADER_RE.match(lines[0].strip())
-        if not m:
-            raise ValidationError(f"{path}: malformed header line {lines[0]!r}")
-        declared = (int(m.group(2)), int(m.group(1)))  # (N, D)
-        start = 1
-    rows = []
-    width = None
-    for line in lines[start:]:
-        if not line.strip():
-            continue
+def _write_lines(path, lines):
+    """Write ``lines`` (any iterable of str) as newline-terminated UTF-8 text."""
+    _write_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])
+
+
+def _read_rows(path):
+    """Lazily, ``(0-based file line, line)`` of each non-blank line of a UTF-8 text file."""
+    lines = _read_text(path).splitlines()  # read now, so that read errors raise here
+    return ((n, line) for n, line in enumerate(lines) if line.strip())
+
+
+def _parse_table(path, rows, cast, width=None):
+    """The comma-separated cells of ``rows`` (as from ``_read_rows``) as a 2-D array.
+
+    ``cast`` is ``int`` (cells must fit int64) or ``float`` (cells must be
+    finite). Every row has ``width`` cells, by default as many as the first.
+    Errors name the 0-based file line, the row and the column.
+    """
+
+    def fail(r, c, what):
+        raise ValidationError(f"{path}: line {linenos[r]}: {what} at row {r}, column {c}") from None
+
+    linenos = []
+    cells = []  # row-major; one flat list converts to an array faster than nested rows
+    for r, (lineno, line) in enumerate(rows):
+        linenos.append(lineno)
         parts = line.split(",")
-        r = len(rows)
-        if width is None:
-            width = len(parts)
-        elif len(parts) != width:
-            raise ValidationError(f"{path}: row {r} has {len(parts)} values, expected {width}")
-        vals = []
-        for c, tok in enumerate(parts):
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: row {r}, column {c}: cannot parse {tok.strip()!r}"
-                ) from None
-            if not math.isfinite(v):
-                raise ValidationError(
-                    f"{path}: non-finite value {tok.strip()!r} at row {r}, column {c}"
-                )
-            vals.append(v)
-        rows.append(vals)
-    if not rows:
-        raise ValidationError(f"{path}: no feature rows")
-    data = np.asarray(rows, dtype=np.float64)
+        width = width or len(parts)
+        if len(parts) != width:
+            raise ValidationError(
+                f"{path}: line {lineno}: row {r} has {len(parts)} values, expected {width}"
+            )
+        try:
+            cells.extend(map(cast, parts))
+        except ValueError:
+            for c, tok in enumerate(parts):
+                try:
+                    cast(tok)
+                except ValueError:
+                    fail(r, c, f"cannot parse {tok.strip()!r}")
+    if not linenos:
+        raise ValidationError(f"{path}: no data rows")
+    try:
+        arr = np.array(cells, dtype=np.int64 if cast is int else np.float64).reshape(-1, width)
+    except OverflowError:
+        k = next(k for k, v in enumerate(cells) if not -(2**63) <= v < 2**63)
+        fail(*divmod(k, width), "integer out of int64 range")
+    bad = ~np.isfinite(arr)  # never set for integers
+    if bad.any():
+        r, c = map(int, np.argwhere(bad)[0])
+        fail(r, c, f"non-finite value {float(arr[r, c])!r}")
+    return arr
+
+
+def _load_csv(path) -> FeatureMatrix:
+    rows = _read_rows(path)
+    first = next(rows, None)
+    declared = None
+    if first is not None and first[0] == 0 and first[1].lstrip().startswith("#"):
+        m = _HEADER_RE.match(first[1].strip())
+        if not m:
+            raise ValidationError(f"{path}: malformed header line {first[1]!r}")
+        declared = (int(m.group(2)), int(m.group(1)))  # (N, D)
+    elif first is not None:
+        rows = itertools.chain([first], rows)
+    data = _parse_table(path, rows, float)
     if declared is not None and declared != data.shape:
         raise ValidationError(
             f"{path}: header declares {declared[0]}x{declared[1]} but payload is "
@@ -261,48 +291,21 @@ def _load_binary(path) -> FeatureMatrix:
 
 
 def save_pairs(pairs: PairSet, path) -> None:
-    lines = [f"{int(a)},{int(b)},{int(c)}" for a, b, c in zip(pairs.i, pairs.j, pairs.y)]
-    _write_bytes(path, [("\n".join(lines) + "\n").encode("utf-8")])
+    columns = (pairs.i.tolist(), pairs.j.tolist(), pairs.y.tolist())
+    _write_lines(path, (f"{a},{b},{c}" for a, b, c in zip(*columns)))
 
 
 def load_pairs(path) -> PairSet:
-    arr = _load_int_lines(path, 3, "pairs")
+    arr = _parse_table(path, _read_rows(path), int, 3)
     return PairSet(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 def save_labels(labels, path) -> None:
-    labels = np.asarray(labels, dtype=np.int64)
-    _write_bytes(path, [("\n".join(str(int(v)) for v in labels) + "\n").encode("utf-8")])
+    _write_lines(path, map(str, np.asarray(labels, dtype=np.int64).tolist()))
 
 
 def load_labels(path) -> np.ndarray:
-    return _load_int_lines(path, 1, "labels")[:, 0]
-
-
-def _load_int_lines(path, fields, what) -> np.ndarray:
-    """Non-blank lines of ``fields`` comma-separated integers as an int64 array."""
-    lines = _read_text(path).splitlines()
-    rows = []
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != fields:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {fields} comma-separated integers, got {line!r}"
-            )
-        try:
-            rows.append(tuple(map(int, parts)))
-        except ValueError:
-            raise ValidationError(f"{path}: line {lineno}: non-integer field in {line!r}") from None
-    if not rows:
-        raise ValidationError(f"{path}: no {what}")
-    try:
-        return np.asarray(rows, dtype=np.int64)
-    except OverflowError:
-        linenos = [n for n, line in enumerate(lines) if line.strip()]
-        k = next(k for k, row in enumerate(rows) if not all(-(2**63) <= v < 2**63 for v in row))
-        raise ValidationError(f"{path}: line {linenos[k]}: integer out of int64 range") from None
+    return _parse_table(path, _read_rows(path), int, 1)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,18 @@ def test_unwritable_output_exit_code(workspace, capsys, argv):
     assert code == 2 and f"{out}: cannot write file" in err
 
 
+@pytest.mark.parametrize("bad", ["features", "labels", "pairs"])
+def test_failed_synth_leaves_no_output(tmp_path, capsys, bad):
+    paths = {name: tmp_path / f"{name}.csv" for name in ("features", "labels", "pairs")}
+    paths[bad] = tmp_path / "missing" / "x"
+    code, _, err = run(
+        capsys, "synth", "--ids", "4", "--samples-per-id", "4", "--dim", "4", "--count", "20",
+        *(arg for name, path in paths.items() for arg in (f"--{name}", str(path))),
+    )
+    assert code == 2 and f"{paths[bad]}: cannot write file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEval:
     def fit_model(self, workspace, capsys, name="m.ecml", *extra):
         run(
@@ -413,6 +425,18 @@ class TestEval:
         assert code == 0
         assert "eer_mean=" in out and "eer_std=" in out
         assert "model_2_eer=" in out
+
+    def test_bad_bins_rejected_before_loading(self, workspace, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("features loaded before --bins was checked")
+
+        monkeypatch.setattr(ecml.cli.feat, "load_features", never)
+        code, _, err = run(
+            capsys,
+            "eval", "--model", str(workspace / "m.ecml"), "--bins", "0",
+            "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
+        )
+        assert code == 2 and "bins must be >= 1" in err
 
     def test_corrupt_model_exit_code(self, workspace, capsys):
         bad = workspace / "bad.ecml"

@@ -232,3 +232,52 @@ class TestReport:
     def test_eer_validated(self):
         with pytest.raises(ValidationError):
             ecml.EvalReport(eer=1.5, threshold=0.0, kl_pos_neg=0.0)
+
+    def test_eval_report_rejects_nan_threshold(self):
+        with pytest.raises(ValidationError, match="threshold must be finite"):
+            ecml.EvalReport(eer=0.1, threshold=float("nan"), kl_pos_neg=0.5)
+
+    def test_eval_report_rejects_nan_kl(self):
+        with pytest.raises(ValidationError, match="kl must be finite"):
+            ecml.EvalReport(eer=0.1, threshold=1.0, kl_pos_neg=float("nan"))
+
+    def test_loaded_infinite_threshold_rejected(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text("eer=0.1\nthreshold=inf\nkl=0.5\n")
+        with pytest.raises(ValidationError, match="threshold must be finite"):
+            ecml.load_report(path)
+
+    def test_loaded_nan_kl_rejected(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text("eer=0.1\nthreshold=1.0\nkl=nan\n")
+        with pytest.raises(ValidationError, match="kl must be finite"):
+            ecml.load_report(path)
+
+    def test_non_finite_roc_cell_rejected(self, tmp_path):
+        path, roc_path = tmp_path / "rep.txt", tmp_path / "rep.roc.csv"
+        path.write_text("eer=0.1\nthreshold=1.0\nkl=0.5\n")
+        roc_path.write_text("threshold,far,frr\n2.0,0.5,0.0\nnan,0.5,inf\n")
+        with pytest.raises(ValidationError, match="line 2: non-finite value nan at row 1, column 0"):
+            ecml.load_report(path, roc_path=roc_path)
+
+    def test_header_only_roc_loads_empty(self, tmp_path):
+        report = ecml.EvalReport(eer=0.25, threshold=1.5, kl_pos_neg=2.0)
+        path, roc_path = tmp_path / "rep.txt", tmp_path / "rep.roc.csv"
+        ecml.save_report(report, path, roc_path=roc_path)
+        assert roc_path.read_text() == "threshold,far,frr\n"
+        assert ecml.load_report(path, roc_path=roc_path).roc.shape == (0, 3)
+
+    def test_operating_points_computed_once(self, monkeypatch):
+        calls = []
+        points = ecml.evaluation._operating_points
+        monkeypatch.setattr(
+            ecml.evaluation, "_operating_points", lambda sp: calls.append(1) or points(sp)
+        )
+        report = ecml.build_report(scored([0.1, 0.5, 0.2], [0.4, 0.9]), bins=5)
+        assert len(calls) == 1
+        assert report.eer == ecml.compute_eer(scored([0.1, 0.5, 0.2], [0.4, 0.9])).eer
+
+    def test_degenerate_report_roc_row(self):
+        report = ecml.build_report(scored([2.0, 2.0], [2.0]))
+        assert report.kl_pos_neg == 0.0 and report.threshold == 2.0
+        assert report.roc.tolist() == [[2.0, 0.0, 0.0]]
