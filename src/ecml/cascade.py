@@ -256,7 +256,10 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     stages = []
-    current = features
+    input_dim = features.dim
+    # keep no reference of our own: once stage 0 has shuffled the input, the
+    # caller's matrix can be freed if the caller holds none either
+    current, features = features, None
     counts = group_counts(stage_count) if stage_count else []
     for s, n_groups in enumerate(counts):
         try:
@@ -271,7 +274,7 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     return CascadeModel(
         stages=tuple(stages),
         final_metric=final,
-        input_dim=features.dim,
+        input_dim=input_dim,
         seed=int(seed),
     )
 

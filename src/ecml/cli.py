@@ -174,8 +174,11 @@ def cmd_fit(args):
             pca = feat.fit_pca(matrix, args.pca_dim)
             matrix = feat.apply_pca(pca, matrix)
     stage_count = args.stages if args.cascade else 0
+    # hand fit_cascade the only reference, so the input is freed after stage 0
+    inputs = [matrix]
+    del matrix
     with _phase("fit"):
-        model = casc.fit_cascade(matrix, pairs, stage_count, learner, args.seed)
+        model = casc.fit_cascade(inputs.pop(), pairs, stage_count, learner, args.seed)
     with _phase("save"):
         casc.save_model(model, args.model, pca=pca)
     print(f"learner: {args.learner}")

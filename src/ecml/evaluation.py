@@ -199,6 +199,9 @@ def build_report(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> EvalReport:
 # report persistence: flat key=value text plus an optional ROC CSV table
 
 
+_REPORT_KEYS = ("eer", "threshold", "kl", "degenerate")
+
+
 def report_lines(report: EvalReport) -> list[str]:
     """The ``key=value`` lines of a report file, without the ROC table."""
     return [
@@ -217,20 +220,41 @@ def save_report(report: EvalReport, path, roc_path=None) -> None:
 
 
 def load_report(path, roc_path=None) -> EvalReport:
+    """Read a report written by :func:`save_report`.
+
+    Every key of :func:`report_lines` must appear exactly once and no other
+    key may appear; ``degenerate`` must read ``true`` or ``false``.
+    """
     fields = {}
     for lineno, line in _read_rows(path):
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
             raise ValidationError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-        fields[key.strip()] = value.strip()
+        if key not in _REPORT_KEYS:
+            raise ValidationError(f"{path}: line {lineno}: unknown report field {key!r}")
+        if key in fields:
+            raise ValidationError(f"{path}: line {lineno}: repeated report field {key!r}")
+        fields[key] = value.strip()
     try:
         eer, threshold, kl = (float(fields[key]) for key in ("eer", "threshold", "kl"))
     except KeyError as exc:
         raise ValidationError(f"{path}: missing report field {exc}") from None
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
-    degenerate = fields.get("degenerate", "false") == "true"
+    flag = fields.get("degenerate")
+    if flag not in ("true", "false", None):
+        raise ValidationError(f"{path}: degenerate must be true or false, got {flag!r}")
     # file line 0 of the ROC table is its header
     rows = [] if roc_path is None else [row for row in _read_rows(roc_path) if row[0] > 0]
     roc = _parse_table(roc_path, rows, float, 3) if rows else ()
-    return EvalReport(eer=eer, threshold=threshold, kl_pos_neg=kl, roc=roc, degenerate=degenerate)
+    try:
+        report = EvalReport(
+            eer=eer, threshold=threshold, kl_pos_neg=kl, roc=roc, degenerate=flag == "true"
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    # checked after the values, so a file that also holds a bad value names it
+    if flag is None:
+        raise ValidationError(f"{path}: missing report field 'degenerate'")
+    return report

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,32 +132,80 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     product; a larger one sums its chunk products in order, which rounds
     differently from one product over the whole class. The chunk size is
     therefore part of the determinism contract for model bytes.
+
+    The two classes are summed concurrently: the matched class on one worker
+    thread, the unmatched class on the calling thread. Each keeps its own
+    chunk order, so the result is the same to the bit as summing them one
+    after the other. The worker is joined before the call returns, and an
+    exception it raises is re-raised here.
     """
+    # must come first: _class_sum gathers with mode="clip", which would
+    # silently clamp an out-of-range index instead of raising
     pairs.check_against(features)
-    sum_pos, n_pos = _class_sum(features.data, pairs, 1)
-    sum_neg, n_neg = _class_sum(features.data, pairs, 0)
+    x = features.data
+    # every buffer is allocated on this thread, where it can reuse heap that
+    # earlier stages freed (a worker thread allocates from its own malloc
+    # arena, which raised the fit's peak RSS); the worker only fills them
+    pos = _class_buffers(pairs, 1, features.dim)
+    neg = _class_buffers(pairs, 0, features.dim)
+    errors = []
+
+    def fill_matched():
+        try:
+            _class_sum(x, pairs, *pos)
+        except BaseException as exc:  # re-raised on the calling thread below
+            errors.append(exc)
+
+    worker = threading.Thread(target=fill_matched, name="ecml-matched-stats")
+    worker.start()
+    try:
+        _class_sum(x, pairs, *neg)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    (idx_pos, _, sum_pos, _), (idx_neg, _, sum_neg, _) = pos, neg
     return DifferenceStats._from_sums(
         sum_pos=sum_pos,
         sum_neg=sum_neg,
         tr_pos=float(np.trace(sum_pos)),
         tr_neg=float(np.trace(sum_neg)),
-        n_pos=n_pos,
-        n_neg=n_neg,
+        n_pos=idx_pos.size,
+        n_neg=idx_neg.size,
     )
 
 
-def _class_sum(x, pairs, label):
-    """Sum of d d^T over the pairs labeled ``label``, and their count."""
+def _class_buffers(pairs, label, width):
+    """(pair indices, gather block, total, product block) for one class's sum.
+
+    The product block is needed only when the class spans several chunks.
+    """
     idx = np.flatnonzero(pairs.y == label)
-    total = None
+    gather = np.empty((min(idx.size, STATS_CHUNK), width))
+    prod = np.empty((width, width)) if idx.size > STATS_CHUNK else None
+    return idx, gather, np.empty((width, width)), prod
+
+
+def _class_sum(x, pairs, idx, gather, total, prod):
+    """Fill ``total`` with the sum of d d^T over pairs ``idx``, chunk by chunk in order.
+
+    The gathers clip out-of-range indices, so ``pairs`` must already have been
+    checked against the features ``x`` holds. The first chunk's product
+    is written straight into ``total``, so its bits (signed zeros included)
+    are those of ``d.T @ d``; later products go through ``prod`` and are added.
+    """
     for start in range(0, idx.size, STATS_CHUNK):
         k = idx[start : start + STATS_CHUNK]
-        d = x[pairs.i[k]] - x[pairs.j[k]]
-        if total is None:
-            total = d.T @ d
+        d = gather[: k.size]
+        x.take(pairs.i[k], axis=0, out=d, mode="clip")
+        # the x[j] rows are subtracted 64 at a time, keeping the temporary small
+        for s in range(0, k.size, 64):
+            d[s : s + 64] -= x[pairs.j[k[s : s + 64]]]
+        if start == 0:
+            np.matmul(d.T, d, out=total)
         else:
-            total += d.T @ d
-    return total, idx.size
+            np.matmul(d.T, d, out=prod)
+            total += prod
 
 
 def merge_stats(a: DifferenceStats, b: DifferenceStats) -> DifferenceStats:

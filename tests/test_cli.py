@@ -584,8 +584,8 @@ class TestGoldenModelBytes:
     another BLAS build may round differently.
     """
 
-    def fit_hashes(self, tmp_path, *synth):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    def fit_hashes(self, tmp_path, *synth, threads="1"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         src = str(Path(ecml.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
@@ -618,3 +618,13 @@ class TestGoldenModelBytes:
             "--count", "2400", "--seed", "0",
         )
         assert hashes == ["76bc3c2b9fe47ef1302e36ba41d69697253558ee9373678d00968ffe7b29d255"] * 2
+
+    def test_two_blas_threads_fit_identical_bytes_twice(self, tmp_path):
+        # both stats classes call into a two-thread OpenBLAS at once; 3000 + 3000
+        # pairs span two chunks per class. No golden hash: bytes may differ
+        # from the one-thread fit, but not between repeats.
+        hashes = self.fit_hashes(
+            tmp_path, "--ids", "20", "--samples-per-id", "20", "--dim", "128",
+            "--count", "6000", "--seed", "2", threads="2",
+        )
+        assert len(hashes) == 2 and hashes[0] == hashes[1]

@@ -1,5 +1,6 @@
 """Tests for pair scoring, EER, KL divergence, and report persistence."""
 
+import re
 from functools import partial
 
 import numpy as np
@@ -251,6 +252,31 @@ class TestReport:
         path = tmp_path / "rep.txt"
         path.write_text("eer=0.1\nthreshold=1.0\nkl=nan\n")
         with pytest.raises(ValidationError, match="kl must be finite"):
+            ecml.load_report(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("eer=0.1\nthreshold=1.0\nkl=0.5\ndegenerate=false\nbogus=1\n",
+             "line 4: unknown report field 'bogus'"),
+            ("eer=0.1\nthreshold=1.0\nkl=0.5\ndegenerate=false\neer=0.2\n",
+             "line 4: repeated report field 'eer'"),
+            ("eer=0.1\nthreshold=1.0\nkl=0.5\n", "missing report field 'degenerate'"),
+            ("eer=0.1\nthreshold=1.0\nkl=0.5\ndegenerate=ture\n",
+             "degenerate must be true or false, got 'ture'"),
+        ],
+        ids=["unknown-key", "repeated-key", "missing-degenerate", "degenerate-not-a-bool"],
+    )
+    def test_report_keys_fail_closed(self, tmp_path, text, message):
+        path = tmp_path / "rep.txt"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            ecml.load_report(path)
+
+    def test_report_value_rejection_names_file(self, tmp_path):
+        path = tmp_path / "rep.txt"
+        path.write_text("eer=0.1\nthreshold=inf\nkl=0.5\ndegenerate=false\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: threshold must be finite")):
             ecml.load_report(path)
 
     def test_non_finite_roc_cell_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 """Tests for difference-space statistics and the metric learners."""
 
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -47,6 +48,17 @@ def assert_matches_oracle(feats, pairs, stats):
     assert np.abs(stats.sum_neg - sum_neg).max() <= 1e-9 * scale
     assert abs(stats.tr_pos - tr_pos) <= 1e-9 * max(1.0, tr_pos)
     assert abs(stats.tr_neg - tr_neg) <= 1e-9 * max(1.0, tr_neg)
+
+
+def sequential_class_sum(x, pairs, label):
+    """One class's d d^T sum, chunk products added in order on this thread."""
+    idx = np.flatnonzero(pairs.y == label)
+    total = None
+    for start in range(0, idx.size, metrics.STATS_CHUNK):
+        k = idx[start : start + metrics.STATS_CHUNK]
+        d = x[pairs.i[k]] - x[pairs.j[k]]
+        total = d.T @ d if total is None else total + d.T @ d
+    return total
 
 
 def random_pairs(rng, n, labels):
@@ -138,6 +150,58 @@ class TestAccumulateStats:
         scale = max(1.0, np.abs(whole.sum_pos).max())
         assert np.abs(merged.sum_pos - whole.sum_pos).max() <= 1e-9 * scale
         assert merged.n_pos == whole.n_pos and merged.n_neg == whole.n_neg
+
+    @pytest.mark.parametrize(
+        "n_pos, n_neg",
+        [
+            (1, metrics.STATS_CHUNK),
+            (metrics.STATS_CHUNK, 1),
+            (metrics.STATS_CHUNK + 1, 2 * metrics.STATS_CHUNK + 3),
+            (2 * metrics.STATS_CHUNK + 3, metrics.STATS_CHUNK + 1),
+            (1, 5000),
+            (5000, 1),
+        ],
+    )
+    def test_concurrent_sums_bitwise_equal_sequential_reference(self, n_pos, n_neg):
+        # the last column is zero padding, with some entries negative zero
+        rng = np.random.default_rng(n_pos * 7919 + n_neg)
+        data = np.concatenate([rng.normal(size=(50, 7)), np.zeros((50, 1))], axis=1)
+        data[::3, -1] = -0.0
+        feats = ecml.FeatureMatrix(data)
+        pairs = random_pairs(rng, 50, rng.permutation(np.repeat([1, 0], [n_pos, n_neg])))
+        stats = ecml.accumulate_stats(feats, pairs)
+        for label, got in ((1, stats.sum_pos), (0, stats.sum_neg)):
+            want = sequential_class_sum(feats.data, pairs, label)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert (stats.n_pos, stats.n_neg) == (n_pos, n_neg)
+
+    @pytest.mark.parametrize("failing_label", [1, 0])
+    def test_class_failure_reaches_caller_and_joins_worker(self, monkeypatch, failing_label):
+        # label 1 is summed on the worker thread, label 0 on the calling thread
+        real = metrics._class_sum
+
+        def class_sum(x, pairs, idx, *buffers):
+            if pairs.y[idx[0]] == failing_label:
+                raise FloatingPointError(f"class {failing_label} failed")
+            real(x, pairs, idx, *buffers)
+
+        monkeypatch.setattr(metrics, "_class_sum", class_sum)
+        feats, _, pairs = clustered_problem(seed=10, count=300)
+        caught = []
+
+        def call():
+            try:
+                ecml.accumulate_stats(feats, pairs)
+            except FloatingPointError as exc:
+                caught.append(exc)
+
+        before = threading.active_count()
+        runner = threading.Thread(target=call)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert [str(exc) for exc in caught] == [f"class {failing_label} failed"]
+        assert threading.active_count() == before
 
 
 @settings(max_examples=40, deadline=None)
