@@ -142,65 +142,103 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     # must come first: _class_sum gathers with mode="clip", which would
     # silently clamp an out-of-range index instead of raising
     pairs.check_against(features)
-    x = features.data
-    # every buffer is allocated on this thread, where it can reuse heap that
-    # earlier stages freed (a worker thread allocates from its own malloc
-    # arena, which raised the fit's peak RSS); the worker only fills them
-    pos = _class_buffers(pairs, 1, features.dim)
-    neg = _class_buffers(pairs, 0, features.dim)
+    (n_pos, sum_pos), (n_neg, sum_neg) = _concurrent_class_sums(features.data, pairs)
+    # how the two threads' small allocations interleave differs from run to
+    # run, and with it which freed heap blocks are still resident when later
+    # arrays are allocated; handing the free pages back once the class
+    # buffers are gone keeps the fit's peak RSS the same from run to run
+    _release_free_heap()
+    return DifferenceStats._from_sums(
+        sum_pos=sum_pos,
+        sum_neg=sum_neg,
+        tr_pos=float(np.trace(sum_pos)),
+        tr_neg=float(np.trace(sum_neg)),
+        n_pos=n_pos,
+        n_neg=n_neg,
+    )
+
+
+def _concurrent_class_sums(x, pairs):
+    """(pair count, sum of d d^T) for the matched and then the unmatched class.
+
+    The matched class is summed on a worker thread while this thread sums
+    the unmatched one; the worker is joined, and its exception re-raised here.
+    """
+    # every array either loop touches is allocated here, before the worker
+    # starts, and the loops allocate no arrays: a worker's own malloc arena
+    # cannot reuse heap that earlier stages freed, and large allocations made
+    # while both threads run leave a heap layout, and so a peak RSS, that
+    # depends on how the threads interleave
+    pos = _class_buffers(x, pairs, 1)
+    neg = _class_buffers(x, pairs, 0)
     errors = []
 
     def fill_matched():
         try:
-            _class_sum(x, pairs, *pos)
+            _class_sum(x, *pos)
         except BaseException as exc:  # re-raised on the calling thread below
             errors.append(exc)
 
     worker = threading.Thread(target=fill_matched, name="ecml-matched-stats")
     worker.start()
     try:
-        _class_sum(x, pairs, *neg)
+        _class_sum(x, *neg)
     finally:
         worker.join()
     if errors:
         raise errors[0]
-    (idx_pos, _, sum_pos, _), (idx_neg, _, sum_neg, _) = pos, neg
-    return DifferenceStats._from_sums(
-        sum_pos=sum_pos,
-        sum_neg=sum_neg,
-        tr_pos=float(np.trace(sum_pos)),
-        tr_neg=float(np.trace(sum_neg)),
-        n_pos=idx_pos.size,
-        n_neg=idx_neg.size,
-    )
+    return [(first.size, total) for first, *_, total, _ in (pos, neg)]
 
 
-def _class_buffers(pairs, label, width):
-    """(pair indices, gather block, total, product block) for one class's sum.
+@functools.cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _release_free_heap():
+    """Hand the pages of free heap blocks back to the OS; a no-op without glibc."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+def _class_buffers(x, pairs, label):
+    """Row indices and buffers for one class's sum: the arguments of _class_sum after x.
 
     The product block is needed only when the class spans several chunks.
     """
     idx = np.flatnonzero(pairs.y == label)
+    width = x.shape[1]
     gather = np.empty((min(idx.size, STATS_CHUNK), width))
+    sub = np.empty((min(idx.size, 64), width))
     prod = np.empty((width, width)) if idx.size > STATS_CHUNK else None
-    return idx, gather, np.empty((width, width)), prod
+    return pairs.i[idx], pairs.j[idx], gather, sub, np.empty((width, width)), prod
 
 
-def _class_sum(x, pairs, idx, gather, total, prod):
-    """Fill ``total`` with the sum of d d^T over pairs ``idx``, chunk by chunk in order.
+def _class_sum(x, first, second, gather, sub, total, prod):
+    """Fill ``total`` with the sum of d d^T, d = x[first] - x[second], chunk by chunk in order.
 
-    The gathers clip out-of-range indices, so ``pairs`` must already have been
-    checked against the features ``x`` holds. The first chunk's product
-    is written straight into ``total``, so its bits (signed zeros included)
-    are those of ``d.T @ d``; later products go through ``prod`` and are added.
+    The gathers clip out-of-range indices, so the indices must already have
+    been checked against ``x``. The first chunk's product is written straight
+    into ``total``, so its bits (signed zeros included) are those of
+    ``d.T @ d``; later products go through ``prod`` and are added. Every
+    intermediate lands in the given buffers, so the loop allocates no arrays.
     """
-    for start in range(0, idx.size, STATS_CHUNK):
-        k = idx[start : start + STATS_CHUNK]
-        d = gather[: k.size]
-        x.take(pairs.i[k], axis=0, out=d, mode="clip")
-        # the x[j] rows are subtracted 64 at a time, keeping the temporary small
-        for s in range(0, k.size, 64):
-            d[s : s + 64] -= x[pairs.j[k[s : s + 64]]]
+    for start in range(0, first.size, STATS_CHUNK):
+        stop = min(start + STATS_CHUNK, first.size)
+        d = gather[: stop - start]
+        x.take(first[start:stop], axis=0, out=d, mode="clip")
+        # the x[j] rows are subtracted 64 at a time, keeping their block small
+        for s in range(start, stop, 64):
+            rows = sub[: min(64, stop - s)]
+            x.take(second[s : s + len(rows)], axis=0, out=rows, mode="clip")
+            d[s - start : s - start + len(rows)] -= rows
         if start == 0:
             np.matmul(d.T, d, out=total)
         else:

@@ -175,15 +175,42 @@ class TestAccumulateStats:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert (stats.n_pos, stats.n_neg) == (n_pos, n_neg)
 
+    def test_class_sum_allocates_no_arrays(self):
+        # allocations made while both threads sum would make the heap layout,
+        # and so the peak RSS, depend on how the threads interleave
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(300, 256))
+        pairs = random_pairs(rng, 300, np.arange(3 * metrics.STATS_CHUNK) % 2)
+        args = metrics._class_buffers(x, pairs, 1)
+        tracemalloc.start()
+        try:
+            metrics._class_sum(x, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 256 * 8 // 4  # a quarter of one 64-row difference block
+
+    def test_free_heap_released_once_worker_joined(self, monkeypatch):
+        # which freed heap blocks stay resident depends on how the two threads
+        # interleaved; handing them back keeps the fit's peak RSS repeatable
+        counts = []
+        monkeypatch.setattr(
+            metrics, "_release_free_heap", lambda: counts.append(threading.active_count())
+        )
+        feats, _, pairs = clustered_problem(seed=11, count=300)
+        before = threading.active_count()
+        ecml.accumulate_stats(feats, pairs)
+        assert counts == [before]
+
     @pytest.mark.parametrize("failing_label", [1, 0])
     def test_class_failure_reaches_caller_and_joins_worker(self, monkeypatch, failing_label):
         # label 1 is summed on the worker thread, label 0 on the calling thread
         real = metrics._class_sum
 
-        def class_sum(x, pairs, idx, *buffers):
-            if pairs.y[idx[0]] == failing_label:
+        def class_sum(x, first, *buffers):
+            if np.array_equal(first, pairs.i[pairs.y == failing_label]):
                 raise FloatingPointError(f"class {failing_label} failed")
-            real(x, pairs, idx, *buffers)
+            real(x, first, *buffers)
 
         monkeypatch.setattr(metrics, "_class_sum", class_sum)
         feats, _, pairs = clustered_problem(seed=10, count=300)
