@@ -11,8 +11,24 @@ def freeze_array(arr):
     return arr
 
 
+def is_symmetric(m):
+    """True when the float64 matrix ``m`` equals its transpose bit for bit."""
+    bits = m.view(np.uint64)
+    return np.array_equal(bits, bits.T)
+
+
 def symmetrize(m):
-    return 0.5 * (m + m.T)
+    """``0.5 * (m + m.T)``; ``m`` itself, uncopied, when it is already symmetric.
+
+    For a bitwise-symmetric ``m`` the formula gives back ``m``'s own bits
+    wherever it does not overflow, so skipping it changes no result. Where it
+    does overflow, the entry becomes inf without a warning, so callers check
+    finiteness after symmetrizing.
+    """
+    if is_symmetric(m):
+        return m
+    with np.errstate(over="ignore"):
+        return 0.5 * (m + m.T)
 
 
 def fix_column_signs(q, tol=1e-12):

@@ -4,11 +4,17 @@ A cascade is L grouped learning stages followed by one plain metric. A stage
 of G groups zero-pads its input to a multiple of G columns and shuffles them
 with a seeded permutation, once. The shuffled matrix splits into G contiguous
 equal-width groups: the metric learner is fit per group, ``mcd`` factorizes
-each learned matrix into a PSD-clamped projection P, and the same matrix is
-mapped group by group through its P and square-root normalized. The final
-stage fits one ungrouped metric on the last stage's output and performs no
-mapping or normalization. Padding is internal: stage widths follow from the
-input dimension and the group counts, and no padding helper is public.
+each learned matrix into a PSD-clamped projection P, and each group of the
+same matrix is then mapped in place through its P and square-root
+normalized, so the shuffled matrix becomes the stage output. The final stage
+fits one ungrouped metric on the last stage's output and performs no mapping
+or normalization. Padding is internal: stage widths follow from the input
+dimension and the group counts, and no padding helper is public.
+
+While fitting, group g - 1 is mapped on one helper thread while the calling
+thread runs group g's learner and ``mcd``. The helper runs only the mapping;
+``accumulate_stats``, the learner and ``mcd`` all run on the calling thread,
+one group after the other, as they would without it.
 
 Inference replays the stored permutations and projections through the same
 shuffle and mapping code, so a fitted model reproduces its training-time
@@ -18,6 +24,7 @@ stage outputs bit for bit.
 from __future__ import annotations
 
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +32,15 @@ import numpy as np
 from ._linalg import fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
 from .features import FeatureMatrix, PairSet, PcaModel, _read_bytes, _write_bytes
-from .metrics import MetricModel, accumulate_stats
+from .metrics import MetricModel, _beside, _release_free_heap, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
 DEFAULT_STAGES = 3
 
 CLAMP_TOL = 1e-10
+# Rows of a mapped group block normalized per _sqrt_norm call, which bounds
+# its temporaries to this many rows whatever the sample count
+SQRT_ROWS = 64
 
 MODEL_MAGIC = b"ECML"
 MODEL_VERSION = 1
@@ -161,9 +171,10 @@ def mcd(matrix) -> Projection:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"matrix must be square, got shape {m.shape}")
+    # checked after symmetrizing, which can overflow finite entries
+    m = symmetrize(m)
     if not np.isfinite(m).all():
         raise ValidationError("matrix has non-finite entries")
-    m = symmetrize(m)
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -174,6 +185,7 @@ def mcd(matrix) -> Projection:
     evecs = fix_column_signs(evecs)
     clamped = int((evals <= -CLAMP_TOL).sum())
     p = evecs * np.sqrt(np.clip(evals, 0.0, None))
+    p.setflags(write=False)  # so that Projection keeps it uncopied
     return Projection(p=p, clamped_count=clamped)
 
 
@@ -201,40 +213,77 @@ def _shuffle(x, perm):
     return x.take(perm, axis=1)
 
 
+def _map_group(shuffled, g, p, block):
+    """Map group ``g`` of ``shuffled`` through ``p`` and sqrt-normalize it, in place.
+
+    The product lands in ``block`` (one row per sample, one column per group
+    dimension) and goes back into the group's columns ``SQRT_ROWS`` rows at a
+    time, so the only arrays allocated are ``_sqrt_norm``'s row-block
+    temporaries.
+    """
+    cols = slice(g * p.shape[0], (g + 1) * p.shape[0])
+    np.matmul(shuffled[:, cols], p, out=block)
+    for start in range(0, block.shape[0], SQRT_ROWS):
+        rows = slice(start, start + SQRT_ROWS)
+        shuffled[rows, cols] = _sqrt_norm(block[rows])
+
+
+def _stage_output(shuffled):
+    """The fully mapped ``shuffled`` as features, marked read-only so none are copied."""
+    shuffled.setflags(write=False)
+    return FeatureMatrix(shuffled)
+
+
 def _map_groups(stage: StageModel, shuffled) -> FeatureMatrix:
-    """Map and sqrt-normalize ``shuffled`` one group block at a time (block-sized temporaries)."""
-    out = np.empty_like(shuffled)
-    gdim = stage.group_dim
+    """Map and sqrt-normalize ``shuffled`` in place, group by group.
+
+    ``shuffled`` is overwritten and returned read-only inside the result, so
+    callers pass a fresh matrix (as ``_shuffle`` makes) that nothing else uses.
+    """
+    block = np.empty((shuffled.shape[0], stage.group_dim))
     for g, proj in enumerate(stage.projections):
-        cols = slice(g * gdim, (g + 1) * gdim)
-        out[:, cols] = _sqrt_norm(shuffled[:, cols] @ proj.p)
-    return FeatureMatrix(out)
+        _map_group(shuffled, g, proj.p, block)
+    return _stage_output(shuffled)
 
 
 def _fit_stage(features, pairs, n_groups, learner, rng):
-    """Fit one ensemble stage; returns (StageModel, stage output features)."""
+    """Fit one ensemble stage; returns (StageModel, stage output features).
+
+    Once group g's stats are summed, its columns are no longer read, so group
+    g - 1 is mapped in place on a helper thread while this thread runs group
+    g's learner and ``mcd``; the helper is joined before the next stats call.
+    Every call the tracer wraps, and numpy's eigen solvers within them, stays
+    on this thread in group order, because the tracer keeps one span stack.
+    The helper allocates nothing large: ``block`` is allocated here.
+    """
     width = _padded_width(features.dim, n_groups)
     gdim = width // n_groups
     perm = rng.permutation(width)
     shuffled = _shuffle(features.data, perm)
+    block = np.empty((shuffled.shape[0], gdim))
     projections = []
     for g in range(n_groups):
-        block = shuffled[:, g * gdim : (g + 1) * gdim]
-        stats = accumulate_stats(FeatureMatrix(block), pairs)
-        try:
-            model = learner(stats)
-        except NumericalError as exc:
-            failure = type(exc)(f"ensemble group {g} of {n_groups}: {exc}")
-            failure.group_index = g
-            raise failure from exc
-        projections.append(mcd(model.matrix))
+        stats = accumulate_stats(FeatureMatrix(shuffled[:, g * gdim : (g + 1) * gdim]), pairs)
+        mapping = (
+            _beside(_map_group, shuffled, g - 1, projections[-1].p, block, name="ecml-stage-map")
+            if g else nullcontext()
+        )
+        with mapping:
+            try:
+                model = learner(stats)
+            except NumericalError as exc:
+                failure = type(exc)(f"ensemble group {g} of {n_groups}: {exc}")
+                failure.group_index = g
+                raise failure from exc
+            projections.append(mcd(model.matrix))
+    _map_group(shuffled, n_groups - 1, projections[-1].p, block)
     stage = StageModel(
         permutation=perm,
         group_count=n_groups,
         group_dim=gdim,
         projections=tuple(projections),
     )
-    return stage, _map_groups(stage, shuffled)
+    return stage, _stage_output(shuffled)
 
 
 def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, seed) -> CascadeModel:
@@ -270,6 +319,10 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
             failure.group_index = getattr(exc, "group_index", None)
             raise failure from exc
         stages.append(stage)
+        # the stage is over and its input freed: hand the free heap back, as
+        # each stats call does; the next stage's and the final metric's stats
+        # buffers then grow RSS from a heap holding only live arrays
+        _release_free_heap()
     final = learner(accumulate_stats(current, pairs))
     return CascadeModel(
         stages=tuple(stages),

@@ -10,11 +10,12 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import freeze_array, symmetrize
+from ._linalg import freeze_array, is_symmetric, symmetrize
 from .errors import DegenerateStats, SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
 
@@ -73,8 +74,8 @@ class DifferenceStats:
         for name, mat, tr in (("matched", sp, self.tr_pos), ("unmatched", sn, self.tr_neg)):
             if not np.isfinite(mat).all():
                 raise ValidationError(f"{name} sum matrix has non-finite entries")
-            scale = max(1.0, float(np.abs(mat).max()))
-            if np.abs(mat - mat.T).max() > 1e-8 * scale:
+            scale = max(1.0, float(mat.max()), -float(mat.min()))  # max |entry|
+            if not is_symmetric(mat) and np.abs(mat - mat.T).max() > 1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not symmetric within 1e-8")
             if psd and np.linalg.eigvalsh(symmetrize(mat)).min() < -1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
@@ -111,11 +112,13 @@ class MetricModel:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"metric matrix must be square, got shape {m.shape}")
+        # checked after symmetrizing, which can overflow finite entries
+        m = symmetrize(m)
         if not np.isfinite(m).all():
             raise ValidationError("metric matrix has non-finite entries")
         if not self.learner:
             raise ValidationError("learner tag must be a nonempty string")
-        object.__setattr__(self, "matrix", freeze_array(symmetrize(m)))
+        object.__setattr__(self, "matrix", freeze_array(m))
 
     @property
     def dim(self) -> int:
@@ -143,6 +146,9 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     # silently clamp an out-of-range index instead of raising
     pairs.check_against(features)
     (n_pos, sum_pos), (n_neg, sum_neg) = _concurrent_class_sums(features.data, pairs)
+    # read-only, so the stats hold the sums themselves rather than frozen copies
+    sum_pos.setflags(write=False)
+    sum_neg.setflags(write=False)
     # how the two threads' small allocations interleave differs from run to
     # run, and with it which freed heap blocks are still resident when later
     # arrays are allocated; handing the free pages back once the class
@@ -171,23 +177,35 @@ def _concurrent_class_sums(x, pairs):
     # depends on how the threads interleave
     pos = _class_buffers(x, pairs, 1)
     neg = _class_buffers(x, pairs, 0)
+    with _beside(_class_sum, x, *pos, name="ecml-matched-stats"):
+        _class_sum(x, *neg)
+    return [(first.size, total) for first, *_, total, _ in (pos, neg)]
+
+
+@contextmanager
+def _beside(fn, *args, name):
+    """Run ``fn(*args)`` on one helper thread while the ``with`` block runs on this one.
+
+    The helper is joined when the block exits, whether or not the block
+    raised. An exception raised in the helper is re-raised here, unless the
+    block raised one of its own, which then propagates instead.
+    """
     errors = []
 
-    def fill_matched():
+    def run():
         try:
-            _class_sum(x, *pos)
+            fn(*args)
         except BaseException as exc:  # re-raised on the calling thread below
             errors.append(exc)
 
-    worker = threading.Thread(target=fill_matched, name="ecml-matched-stats")
-    worker.start()
+    helper = threading.Thread(target=run, name=name)
+    helper.start()
     try:
-        _class_sum(x, *neg)
+        yield
     finally:
-        worker.join()
+        helper.join()
     if errors:
         raise errors[0]
-    return [(first.size, total) for first, *_, total, _ in (pos, neg)]
 
 
 @functools.cache

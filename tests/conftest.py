@@ -1,7 +1,18 @@
+import threading
+
 import numpy as np
 import pytest
 
 import ecml
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_test():
+    """Fail a test that leaves more threads alive than it started with."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still alive after the test: {left}"
 
 
 @pytest.fixture

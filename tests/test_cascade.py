@@ -1,5 +1,8 @@
 """Tests for the spectral projection, stage fitting, cascade, and persistence."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +196,116 @@ class TestFitStage:
             _fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
         except SingularCovariance as exc:
             assert hasattr(exc, "group_index")
+
+
+class TestStageOverlap:
+    """Group g - 1 is mapped on a helper thread while group g's learner and mcd run."""
+
+    def test_traced_calls_stay_on_calling_thread_in_group_order(self, monkeypatch):
+        feats, _, pairs = clustered_problem(seed=21, dim=16)
+        caller = threading.current_thread()
+        calls = []
+
+        def recorded(name, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                calls.append((name, threading.current_thread(), args, out))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ecml.cascade, "accumulate_stats", recorded("stats", ecml.cascade.accumulate_stats)
+        )
+        monkeypatch.setattr(ecml.cascade, "mcd", recorded("mcd", ecml.cascade.mcd))
+        learner = recorded("learner", ecml.make_learner("rmml", 0.1))
+        model = ecml.fit_cascade(feats, pairs, 3, learner, seed=4)
+
+        assert all(thread is caller for _, thread, _, _ in calls)
+        per_group = ["stats", "learner", "mcd"]
+        assert [name for name, *_ in calls] == per_group * (8 + 4 + 2) + ["stats", "learner"]
+        # each group's stats are summed over that group's columns of the stage
+        # input, the learner gets those stats, and mcd that learner's matrix
+        groups = iter(zip(*[iter(calls[:-2])] * 3))
+        current = feats
+        for stage in model.stages:
+            shuffled = _shuffle(current.data, stage.permutation)
+            gdim = stage.group_dim
+            for g, proj in enumerate(stage.projections):
+                stats, fit, factor = next(groups)
+                block = stats[2][0].data
+                assert np.array_equal(block, shuffled[:, g * gdim : (g + 1) * gdim])
+                assert fit[2][0] is stats[3]
+                assert factor[2][0] is fit[3].matrix and factor[3] is proj
+            current = _map_groups(stage, shuffled)
+        assert calls[-1][3] is model.final_metric
+
+    def test_learner_failure_mid_stage_keeps_indices_and_joins_helper(self, monkeypatch):
+        feats, _, pairs = clustered_problem(seed=22, dim=16)
+        rmml = ecml.make_learner("rmml", 0.1)
+        caller = threading.current_thread()
+        real_sqrt_norm = ecml.cascade._sqrt_norm
+
+        def slow_on_helper(arr):
+            # a helper still running when the failure propagates must show
+            if threading.current_thread() is not caller:
+                time.sleep(0.01)
+            return real_sqrt_norm(arr)
+
+        monkeypatch.setattr(ecml.cascade, "_sqrt_norm", slow_on_helper)
+        mapping_beside = []
+        seen = []
+
+        def learner(stats):
+            seen.append(stats.dim)
+            mapping_beside.append(
+                any(t.name == "ecml-stage-map" for t in threading.enumerate())
+            )
+            # stage 1 has 4 groups of 4 dims; fail at its third group, while
+            # the helper maps its second
+            if seen.count(4) == 3:
+                raise ecml.DegenerateStats("injected")
+            return rmml(stats)
+
+        before = threading.active_count()
+        with pytest.raises(ecml.DegenerateStats, match="injected") as info:
+            ecml.fit_cascade(feats, pairs, 3, learner, seed=4)
+        assert (info.value.stage_index, info.value.group_index) == (1, 2)
+        # from each stage's second group on, the previous group is being mapped
+        assert mapping_beside == [False] + [True] * 7 + [False, True, True]
+        assert threading.active_count() == before
+
+    def test_helper_failure_reaches_caller(self, monkeypatch):
+        feats, _, pairs = clustered_problem(seed=23, dim=16)
+        caller = threading.current_thread()
+        raised_on = []
+        real_sqrt_norm = ecml.cascade._sqrt_norm
+
+        def fails_on_helper(arr):
+            if threading.current_thread() is caller:
+                return real_sqrt_norm(arr)
+            raised_on.append(threading.current_thread())
+            raise FloatingPointError("map failed")
+
+        monkeypatch.setattr(ecml.cascade, "_sqrt_norm", fails_on_helper)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="map failed"):
+            _fit_stage(feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(0))
+        # group 0 is mapped beside group 1's solves, on the helper
+        assert len(raised_on) == 1
+        assert threading.active_count() == before
+
+    def test_map_groups_maps_given_buffer_in_place(self):
+        feats, _, pairs = clustered_problem(seed=24, dim=12)
+        stage, fitted = _fit_stage(
+            feats, pairs, 3, ecml.make_learner("rmml", 0.1), np.random.default_rng(5)
+        )
+        shuffled = _shuffle(feats.data, stage.permutation)
+        out = _map_groups(stage, shuffled)
+        assert out.data is shuffled
+        assert not shuffled.flags.writeable
+        assert np.array_equal(out.data, fitted.data)
+        assert not fitted.data.flags.writeable
 
 
 class TestFitCascade:

@@ -84,6 +84,19 @@ class TestBinaryFormat:
         with pytest.raises(ValidationError, match=r"expected \d+ bytes .* found \d+"):
             ecml.load_features(path, "raw-binary")
 
+    def test_loads_aligned_and_bit_exact(self, tmp_path, rng):
+        # the payload starts at byte 20 of the file; a view into the file's
+        # bytes would be unaligned, which sends numpy to its slow loops
+        data = rng.normal(scale=1e3, size=(7, 5))
+        data[0, :4] = [-0.0, 5e-324, -1e308, 0.0]
+        path = tmp_path / "f.bin"
+        ecml.save_features(ecml.FeatureMatrix(data), path, "raw-binary")
+        back = ecml.load_features(path, "raw-binary").data
+        assert back.flags.aligned and back.flags.c_contiguous
+        assert not back.flags.writeable
+        assert back.base is None  # its own buffer, not a view of the file's bytes
+        assert np.array_equal(back.view(np.uint64), data.view(np.uint64))
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown feature format"):
             ecml.load_features(tmp_path / "x", "parquet")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import ecml
 from ecml import metrics
+from ecml._linalg import symmetrize
 from ecml.errors import DegenerateStats, SingularCovariance, ValidationError
 
 from conftest import clustered_problem, make_stats
@@ -268,6 +269,29 @@ class TestDifferenceStatsInvariants:
     def test_rejects_missing_class(self):
         with pytest.raises(ValidationError):
             ecml.DifferenceStats(np.eye(2), np.eye(2), 2.0, 2.0, 0, 1)
+
+
+class TestMetricModel:
+    def test_asymmetric_overflow_rejected(self):
+        # finite entries whose mean overflows: the check runs after symmetrizing
+        m = np.asarray([[0.0, 1e308], [1.7e308, 0.0]])
+        with pytest.raises(ValidationError, match="non-finite"):
+            ecml.MetricModel(matrix=m, learner="x")
+        with pytest.raises(ValidationError, match="non-finite"):
+            ecml.mcd(m)
+
+    def test_symmetric_extremes_kept_exactly(self):
+        m = np.full((2, 2), 1e308)
+        assert np.array_equal(ecml.MetricModel(matrix=m, learner="x").matrix, m)
+
+    def test_symmetrize_skips_only_bitwise_symmetric(self):
+        # a +0.0 / -0.0 pair compares equal but is not bitwise symmetric; the
+        # formula, which makes both +0.0, must still run on it
+        m = np.asarray([[1.0, 0.0], [-0.0, 2.0]])
+        got = symmetrize(m)
+        assert np.array_equal(got.view(np.uint64), (0.5 * (m + m.T)).view(np.uint64))
+        sym = np.asarray([[1.0, -0.0], [-0.0, 5e-324]])
+        assert symmetrize(sym) is sym
 
 
 class TestFitRmml:
