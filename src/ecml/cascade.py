@@ -246,20 +246,19 @@ def _map_groups(stage: StageModel, shuffled) -> FeatureMatrix:
     return _stage_output(shuffled)
 
 
-def _fit_stage(features, pairs, n_groups, learner, rng):
-    """Fit one ensemble stage; returns (StageModel, stage output features).
+def _fit_stage(shuffled, perm, pairs, n_groups, learner):
+    """Fit one ensemble stage on its input padded and shuffled by ``perm``.
 
-    Once group g's stats are summed, its columns are no longer read, so group
-    g - 1 is mapped in place on a helper thread while this thread runs group
-    g's learner and ``mcd``; the helper is joined before the next stats call.
+    Returns (StageModel, stage output features); ``shuffled``, as ``_shuffle``
+    makes it, is mapped in place and becomes the output. Once group g's stats
+    are summed, its columns are no longer read, so group g - 1 is mapped in
+    place on a helper thread while this thread runs group g's learner and
+    ``mcd``; the helper is joined before the next stats call.
     Every call the tracer wraps, and numpy's eigen solvers within them, stays
     on this thread in group order, because the tracer keeps one span stack.
     The helper allocates nothing large: ``block`` is allocated here.
     """
-    width = _padded_width(features.dim, n_groups)
-    gdim = width // n_groups
-    perm = rng.permutation(width)
-    shuffled = _shuffle(features.data, perm)
+    gdim = perm.size // n_groups
     block = np.empty((shuffled.shape[0], gdim))
     projections = []
     for g in range(n_groups):
@@ -311,8 +310,12 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     current, features = features, None
     counts = group_counts(stage_count) if stage_count else []
     for s, n_groups in enumerate(counts):
+        perm = rng.permutation(_padded_width(current.dim, n_groups))
+        # the stage reads only the shuffled copy: drop its input before the
+        # stage's stats calls, so that it is freed
+        shuffled, current = _shuffle(current.data, perm), None
         try:
-            stage, current = _fit_stage(current, pairs, n_groups, learner, rng)
+            stage, current = _fit_stage(shuffled, perm, pairs, n_groups, learner)
         except NumericalError as exc:
             failure = type(exc)(f"stage {s}: {exc}")
             failure.stage_index = s

@@ -168,6 +168,14 @@ def cmd_fit(args):
     with _phase("load"):
         matrix = feat.load_features(args.features, args.fmt)
         pairs = feat.load_pairs(args.pairs)
+    width = matrix.dim if args.pca_dim is None else args.pca_dim
+    # 2**stages stage-0 groups of a 2**stages-wide input are 1 wide, and
+    # rmml's trace-normalized contrast of a 1 x 1 sum is identically zero
+    if args.cascade and args.learner == "rmml" and width == 2**args.stages:
+        raise ValidationError(
+            f"--learner rmml cannot fit --stages {args.stages} on {width}-dim features: "
+            "its stage-0 groups would be 1 wide"
+        )
     pca = None
     if args.pca_dim is not None:
         with _phase("pca"):

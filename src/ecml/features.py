@@ -376,6 +376,15 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     Matched pairs are uniform over same-identity pairs, unmatched pairs
     uniform over cross-identity pairs; the split honors ``pos_fraction``
     within rounding. Deterministic for a fixed seed.
+
+    Each class's pool has a fixed order: matched pairs by identity
+    (ascending), then row-major within it; unmatched pairs row-major over all
+    ``i < j``. One ``rng.choice`` per class, matched first, draws ranks into
+    that order, and each rank is decoded into its pair without listing the
+    pool. The draws therefore equal those of listing both pools and calling
+    ``rng.choice`` on their lengths. Memory is O(n + count), except where
+    ``count`` exceeds a fiftieth of a class's pool: there ``rng.choice``
+    shuffles an index array of the whole pool.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 2:
@@ -393,29 +402,41 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
             "at least one of each is required"
         )
 
-    pos_i, pos_j = _same_identity_pairs(labels)
-    pos_avail = pos_i.size
-    total = n * (n - 1) // 2
-    neg_avail = total - pos_avail
+    # sorted position t holds sample order[t]: identities ascending, samples
+    # ascending within each; first[g] is where identity g starts
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    first = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    sizes = np.diff(np.r_[first, n])
+    group = np.repeat(np.arange(first.size), sizes)
+    seq = np.arange(n)  # sorted positions, or sample indices
+    later = first[group] + sizes[group] - seq - 1  # same-identity samples after position t
+    pos_avail = int(later.sum())
+    neg_avail = n * (n - 1) // 2 - pos_avail
     if n_pos > pos_avail:
         raise ValidationError(f"requested {n_pos} matched pairs but only {pos_avail} exist")
     if n_neg > neg_avail:
         raise ValidationError(f"requested {n_neg} unmatched pairs but only {neg_avail} exist")
 
     rng = _rng(seed)
-    sel = rng.choice(pos_avail, size=n_pos, replace=False)
-    pi, pj = pos_i[sel], pos_j[sel]
+    t, k = _unrank(later, rng.choice(pos_avail, size=n_pos, replace=False))
+    pi, pj = order[t], order[t + 1 + k]
 
-    # enumerate the cross-identity pool outright when it is small or the
-    # request is dense; otherwise rejection-sample (memory stays bounded)
-    if n <= 2048 or (3 * n_neg >= neg_avail and n <= 4096):
-        ii, jj = np.triu_indices(n, 1)
-        mask = labels[ii] != labels[jj]
-        ni_pool, nj_pool = ii[mask], jj[mask]
-        sel = rng.choice(ni_pool.size, size=n_neg, replace=False)
-        ni, nj = ni_pool[sel], nj_pool[sel]
-    else:
-        ni, nj = _reject_sample_negatives(labels, n_neg, rng)
+    # sample i's unmatched partners are the samples after it, less the
+    # `later` ones of its own identity
+    where = np.empty(n, dtype=np.int64)
+    where[order] = seq
+    ni, k = _unrank(n - 1 - seq - later[where], rng.choice(neg_avail, size=n_neg, replace=False))
+    # Unmatched partner k of sample i, at sorted position t, is i + 1 + k + m,
+    # where m counts the samples of i's identity between i and that partner.
+    # Position r of an identity has key order[r] - (r - first) samples of other
+    # identities before it, so m is the number of r > t whose key is at most
+    # i's key plus k. Offsetting each identity's keys (all below n) by
+    # group * n makes one ascending array, so one searchsorted finds every m.
+    key = group * n + order - (seq - first[group])
+    t = where[ni]
+    m = np.searchsorted(key, key[t] + k, side="right") - (t + 1)
+    nj = ni + 1 + k + m
 
     i = np.concatenate([pi, ni])
     j = np.concatenate([pj, nj])
@@ -423,46 +444,17 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     return PairSet(i, j, y)
 
 
+def _unrank(counts, ranks):
+    """Row and offset in the row of each rank into rows of ``counts`` entries, listed row by row."""
+    ends = np.cumsum(counts)
+    rows = np.searchsorted(ends, ranks, side="right")
+    return rows, ranks - (ends[rows] - counts[rows])
+
+
 def _rng(seed):
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     return np.random.default_rng(seed)
-
-
-def _same_identity_pairs(labels):
-    blocks_i, blocks_j = [], []
-    for value in np.unique(labels):
-        idx = np.flatnonzero(labels == value)
-        if idx.size < 2:
-            continue
-        a, b = np.triu_indices(idx.size, 1)
-        blocks_i.append(idx[a])
-        blocks_j.append(idx[b])
-    if not blocks_i:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(blocks_i), np.concatenate(blocks_j)
-
-
-def _reject_sample_negatives(labels, n_neg, rng):
-    n = labels.size
-    seen: set[int] = set()
-    out_i, out_j = [], []
-    while len(out_i) < n_neg:
-        need = n_neg - len(out_i)
-        a = rng.integers(0, n, size=4 * need + 16)
-        b = rng.integers(0, n, size=4 * need + 16)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        ok = (lo != hi) & (labels[lo] != labels[hi])
-        for x, y in zip(lo[ok], hi[ok]):
-            code = int(x) * n + int(y)
-            if code in seen:
-                continue
-            seen.add(code)
-            out_i.append(int(x))
-            out_j.append(int(y))
-            if len(out_i) == n_neg:
-                break
-    return np.asarray(out_i, dtype=np.int64), np.asarray(out_j, dtype=np.int64)
 
 
 def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, seed):
@@ -477,7 +469,10 @@ def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, s
         raise ValidationError("spreads must be positive")
     rng = _rng(seed)
     means = rng.normal(0.0, inter_spread, size=(identities, dim))
-    noise = rng.normal(0.0, intra_spread, size=(identities * samples_per_id, dim))
-    data = np.repeat(means, samples_per_id, axis=0) + noise
+    data = rng.normal(0.0, intra_spread, size=(identities * samples_per_id, dim))
+    # mean + noise in place (addition commutes bit for bit), read-only so
+    # FeatureMatrix keeps it uncopied
+    data.reshape(identities, samples_per_id, dim)[...] += means[:, None, :]
+    data.setflags(write=False)
     labels = np.repeat(np.arange(identities, dtype=np.int64), samples_per_id)
     return FeatureMatrix(data), labels

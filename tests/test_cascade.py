@@ -2,6 +2,7 @@
 
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -9,10 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecml
-from ecml.cascade import _fit_stage, _map_groups, _shuffle, _sqrt_norm
+from ecml.cascade import _fit_stage, _map_groups, _padded_width, _shuffle, _sqrt_norm
 from ecml.errors import SingularCovariance, ValidationError
 
 from conftest import clustered_problem, split_pairs
+
+
+def fit_stage(feats, pairs, n_groups, learner, rng):
+    """One stage fitted from its input as ``fit_cascade`` fits it, drawing the permutation from ``rng``."""
+    perm = rng.permutation(_padded_width(feats.dim, n_groups))
+    return _fit_stage(_shuffle(feats.data, perm), perm, pairs, n_groups, learner)
 
 
 def identity_learner(stats):
@@ -116,7 +123,7 @@ class TestGroupCounts:
 class TestFitStage:
     def test_shapes(self):
         feats, _, pairs = clustered_problem(seed=3, dim=16)
-        stage, out = _fit_stage(
+        stage, out = fit_stage(
             feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(0)
         )
         assert stage.group_count == 4 and stage.group_dim == 4
@@ -126,10 +133,10 @@ class TestFitStage:
 
     def test_deterministic(self):
         feats, _, pairs = clustered_problem(seed=4, dim=12)
-        a_stage, a_out = _fit_stage(
+        a_stage, a_out = fit_stage(
             feats, pairs, 3, ecml.make_learner("rmml", 0.1), np.random.default_rng(9)
         )
-        b_stage, b_out = _fit_stage(
+        b_stage, b_out = fit_stage(
             feats, pairs, 3, ecml.make_learner("rmml", 0.1), np.random.default_rng(9)
         )
         assert np.array_equal(a_stage.permutation, b_stage.permutation)
@@ -141,7 +148,7 @@ class TestFitStage:
         # orthogonal per-group maps: pairwise distances before normalization
         # match the raw features even though coordinates may differ
         feats, _, pairs = clustered_problem(seed=5, dim=8)
-        stage, _ = _fit_stage(feats, pairs, 1, identity_learner, np.random.default_rng(1))
+        stage, _ = fit_stage(feats, pairs, 1, identity_learner, np.random.default_rng(1))
         proj = stage.projections[0]
         assert np.allclose(proj.p.T @ proj.p, np.eye(8), atol=1e-10)
         shuffled = feats.data[:, stage.permutation]
@@ -152,7 +159,7 @@ class TestFitStage:
 
     def test_output_is_sqrt_normalized_projection(self):
         feats, _, pairs = clustered_problem(seed=6, dim=8)
-        stage, out = _fit_stage(
+        stage, out = fit_stage(
             feats, pairs, 2, ecml.make_learner("rmml", 0.1), np.random.default_rng(2)
         )
         replayed = _map_groups(stage, _shuffle(feats.data, stage.permutation))
@@ -160,7 +167,7 @@ class TestFitStage:
 
     def test_padding_widens_stage(self):
         feats, _, pairs = clustered_problem(seed=7, dim=10)
-        stage, out = _fit_stage(
+        stage, out = fit_stage(
             feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(3)
         )
         assert stage.width == 12 and out.dim == 12
@@ -173,13 +180,13 @@ class TestFitStage:
         # zero trace-normalized contrast; the stage aborts with group context
         feats, _, pairs = clustered_problem(seed=7, dim=9)
         with pytest.raises(ecml.DegenerateStats, match="ensemble group"):
-            _fit_stage(feats, pairs, 8, ecml.make_learner("rmml", 0.1), np.random.default_rng(3))
+            fit_stage(feats, pairs, 8, ecml.make_learner("rmml", 0.1), np.random.default_rng(3))
 
     def test_group_fits_are_independent(self):
         # refit each group in isolation from its permuted slice: projections match
         feats, _, pairs = clustered_problem(seed=8, dim=12)
         learner = ecml.make_learner("rmml", 0.1)
-        stage, _ = _fit_stage(feats, pairs, 3, learner, np.random.default_rng(4))
+        stage, _ = fit_stage(feats, pairs, 3, learner, np.random.default_rng(4))
         shuffled = feats.data[:, stage.permutation]
         for g in reversed(range(3)):
             block = ecml.FeatureMatrix(shuffled[:, g * 4 : (g + 1) * 4])
@@ -191,9 +198,9 @@ class TestFitStage:
         # padded zero columns make a group covariance singular for kissme
         feats, _, pairs = clustered_problem(seed=9, dim=10)
         with pytest.raises(SingularCovariance, match="ensemble group"):
-            _fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
+            fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
         try:
-            _fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
+            fit_stage(feats, pairs, 8, ecml.make_learner("kissme"), np.random.default_rng(5))
         except SingularCovariance as exc:
             assert hasattr(exc, "group_index")
 
@@ -290,14 +297,14 @@ class TestStageOverlap:
         monkeypatch.setattr(ecml.cascade, "_sqrt_norm", fails_on_helper)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="map failed"):
-            _fit_stage(feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(0))
+            fit_stage(feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(0))
         # group 0 is mapped beside group 1's solves, on the helper
         assert len(raised_on) == 1
         assert threading.active_count() == before
 
     def test_map_groups_maps_given_buffer_in_place(self):
         feats, _, pairs = clustered_problem(seed=24, dim=12)
-        stage, fitted = _fit_stage(
+        stage, fitted = fit_stage(
             feats, pairs, 3, ecml.make_learner("rmml", 0.1), np.random.default_rng(5)
         )
         shuffled = _shuffle(feats.data, stage.permutation)
@@ -322,6 +329,28 @@ class TestFitCascade:
         model = ecml.fit_cascade(feats, pairs, 3, ecml.make_learner("rmml", 0.1), seed=1)
         assert [s.group_count for s in model.stages] == [8, 4, 2]
         assert model.final_metric.dim == model.output_dim
+
+    def test_stage_input_freed_before_its_stats(self, monkeypatch):
+        # a stage reads only its shuffled copy of the previous stage's output,
+        # so that output is gone by the stage's first stats call; the final
+        # metric's stats call reads the last one
+        feats, _, pairs = clustered_problem(seed=11, dim=16)
+        outputs, live = [], []
+        real_output, real_stats = ecml.cascade._stage_output, ecml.cascade.accumulate_stats
+
+        def tracked_output(shuffled):
+            outputs.append(weakref.ref(shuffled))
+            return real_output(shuffled)
+
+        def counting_stats(features, pairs):
+            live.append(sum(ref() is not None for ref in outputs))
+            return real_stats(features, pairs)
+
+        monkeypatch.setattr(ecml.cascade, "_stage_output", tracked_output)
+        monkeypatch.setattr(ecml.cascade, "accumulate_stats", counting_stats)
+        ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=1)
+        assert len(outputs) == 2
+        assert live == [0] * 4 + [0] * 2 + [1]
 
     def test_negative_stage_count(self):
         feats, _, pairs = clustered_problem(seed=12)

@@ -230,6 +230,32 @@ class TestFit:
         assert code == 2 and "64 stages" in err
         assert not (workspace / "x.ecml").exists()
 
+    @pytest.mark.parametrize("flags", [["--stages", "4"], ["--pca-dim", "8", "--stages", "3"]])
+    def test_rmml_one_wide_groups_rejected_before_fitting(
+        self, workspace, capsys, monkeypatch, flags
+    ):
+        # 16 raw or 8 PCA dimensions split into 16 or 8 stage-0 groups of width 1
+        def unreachable(*args):
+            raise AssertionError("fitting started")
+
+        monkeypatch.setattr(cli.feat, "fit_pca", unreachable)
+        monkeypatch.setattr(cli.casc, "fit_cascade", unreachable)
+        code, _, err = run(
+            capsys, "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "x.ecml"),
+            "--cascade", *flags,
+        )
+        assert code == 2 and "1 wide" in err
+        assert not (workspace / "x.ecml").exists()
+
+    def test_kissme_fits_one_wide_groups(self, workspace, capsys):
+        code, out, _ = run(
+            capsys, "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "k.ecml"),
+            "--cascade", "--pca-dim", "2", "--stages", "1", "--learner", "kissme",
+        )
+        assert code == 0 and "groups=2 group_dim=1" in out
+
     def test_missing_features_flag(self, workspace, capsys):
         code, _, err = run(
             capsys, "fit", "--pairs", str(workspace / "p.csv"),

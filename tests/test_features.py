@@ -1,5 +1,7 @@
 """Tests for feature I/O, PCA, pair sampling, padding, and generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -227,7 +229,7 @@ class TestSamplePairs:
             ecml.sample_pairs([0, 0, 1, 1], 2, 0.5, seed=-3)
 
     def test_rejection_path_matches_contracts(self):
-        # big enough sample count to take the rejection-sampling branch
+        # 2500 samples: more than the listed-pool oracle below is run on
         labels = np.repeat(np.arange(500), 5)
         pairs = ecml.sample_pairs(labels, 4000, 0.25, seed=7)
         assert pairs.n_pos == 1000 and pairs.n_neg == 3000
@@ -235,6 +237,97 @@ class TestSamplePairs:
         assert np.array_equal(same.astype(int), pairs.y)
         canon = {(min(a, b), max(a, b)) for a, b in zip(pairs.i, pairs.j)}
         assert len(canon) == len(pairs)
+
+
+def _listed_pools_oracle(labels, count, pos_fraction, seed):
+    """Reference sampler: list both pools in full, then draw from each with rng.choice."""
+    labels = np.asarray(labels)
+    n_pos = int(round(count * pos_fraction))
+    blocks_i, blocks_j = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for value in np.unique(labels):
+        idx = np.flatnonzero(labels == value)
+        a, b = np.triu_indices(idx.size, 1)
+        blocks_i.append(idx[a])
+        blocks_j.append(idx[b])
+    pos_i, pos_j = np.concatenate(blocks_i), np.concatenate(blocks_j)
+    ii, jj = np.triu_indices(labels.size, 1)
+    mask = labels[ii] != labels[jj]
+    neg_i, neg_j = ii[mask], jj[mask]
+    rng = np.random.default_rng(seed)
+    sel = rng.choice(pos_i.size, size=n_pos, replace=False)
+    nsel = rng.choice(neg_i.size, size=count - n_pos, replace=False)
+    return np.r_[pos_i[sel], neg_i[nsel]], np.r_[pos_j[sel], neg_j[nsel]]
+
+
+def _pool_sizes(labels):
+    sizes = np.unique(labels, return_counts=True)[1]
+    pos = int((sizes * (sizes - 1) // 2).sum())
+    return pos, labels.size * (labels.size - 1) // 2 - pos
+
+
+def _random_labels(rng, kind):
+    n = int(rng.integers(2, 300))
+    if kind == "unsorted":
+        return rng.integers(0, max(1, n // 4), n)
+    if kind == "singletons":
+        return rng.permutation(n) // 2 + (rng.random(n) < 0.5) * n
+    if kind == "dominant":
+        return np.where(rng.random(n) < 0.9, 7, rng.integers(-20, 20, n))
+    return np.repeat(rng.integers(-50, 50, n // 5 + 1), 5)[:n]  # blocks, ids unordered
+
+
+class TestSamplePairsOracle:
+    """The rank-decoding sampler draws exactly what listing the pools draws."""
+
+    def assert_matches(self, labels, n_pos, n_neg, seed):
+        count = n_pos + n_neg
+        pairs = ecml.sample_pairs(labels, count, n_pos / count, seed)
+        i, j = _listed_pools_oracle(labels, count, n_pos / count, seed)
+        assert np.array_equal(pairs.i, i) and np.array_equal(pairs.j, j)
+        assert np.array_equal(pairs.y, np.r_[np.ones(n_pos), np.zeros(n_neg)])
+
+    @pytest.mark.parametrize("kind", ["unsorted", "singletons", "dominant", "blocks"])
+    def test_random_label_sets(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        tried = 0
+        while tried < 40:
+            labels = _random_labels(rng, kind)
+            pos, neg = _pool_sizes(labels)
+            if pos < 1 or neg < 1:
+                continue
+            # sparse and dense requests, up to the whole of either pool
+            n_pos = int(rng.choice([1, rng.integers(1, pos + 1), pos]))
+            n_neg = int(rng.choice([1, rng.integers(1, neg + 1), neg]))
+            if int(round((n_pos + n_neg) * (n_pos / (n_pos + n_neg)))) != n_pos:
+                continue  # the fraction does not round back to n_pos
+            self.assert_matches(labels, n_pos, n_neg, int(rng.integers(2**32)))
+            tried += 1
+
+    def test_whole_pools_hold_every_pair_once(self):
+        labels = np.array([3, 1, 3, 2, 1, 3, 9])
+        pos, neg = _pool_sizes(labels)
+        self.assert_matches(labels, pos, neg, seed=5)
+        pairs = ecml.sample_pairs(labels, pos + neg, pos / (pos + neg), seed=5)
+        assert sorted(zip(pairs.i.tolist(), pairs.j.tolist())) == [
+            (a, b) for a in range(7) for b in range(a + 1, 7)
+        ]
+
+    def test_dense_request_above_2048_samples(self):
+        # a third of the unmatched pool from 2100 samples in unsorted identities
+        labels = np.random.default_rng(4).permutation(np.repeat(np.arange(105), 20))
+        neg = _pool_sizes(labels)[1]
+        self.assert_matches(labels, 500, neg // 3 + 1, seed=11)
+
+    def test_memory_linear_in_samples_and_count(self):
+        # listing the 2000-sample pools peaks at 67 MB; the rank path at 1.6 MB
+        labels = np.repeat(np.arange(100), 20)
+        tracemalloc.start()
+        try:
+            ecml.sample_pairs(labels, 20000, 0.5, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestZeroPad:

@@ -70,6 +70,38 @@ class TestGoldenTextBytes:
         assert digest == _GOLDEN_HASHES[name]
 
 
+# Set-up inputs of the benchmark's workloads at their 100 x 20 shape and seed 0
+# (perfbench/run.py): labels, 20 000 training pairs, and the 500 and 5 000
+# held-out pairs drawn with seed 1. Label and pair bytes do not depend on the
+# feature width, so 4 dimensions stand in for 1024.
+_BENCH_INPUT_HASHES = {
+    "l.csv": "40ac23e325449dd753074aa3c4dc6606282672cd13a3da8a50ac7c1996e89707",
+    "p20000.csv": "7e1c97909ddddbaea747aad28247bdd2626b1d38a1533a11da77d7eec99475bb",
+    "p500.csv": "f08c061d55f27491e21e377566e43825a6e9b16246f1018203426ce2272abf85",
+    "p5000.csv": "dbb27c0a74210559719f103618a73463d7a6a2813089a07a8c04fb91eb166b1d",
+}
+
+
+def test_benchmark_input_bytes(tmp_path, capsys):
+    labels, train = tmp_path / "l.csv", tmp_path / "p20000.csv"
+    assert cli.main([
+        "synth", "--ids", "100", "--samples-per-id", "20", "--dim", "4",
+        "--intra-spread", "1.0", "--inter-spread", "0.5", "--seed", "0", "--count", "20000",
+        "--features", str(tmp_path / "f.bin"), "--format", "raw-binary",
+        "--labels", str(labels), "--pairs", str(train),
+    ]) == 0
+    for count in (500, 5000):
+        assert cli.main([
+            "pairs", "--labels", str(labels), "--count", str(count), "--seed", "1",
+            "--pairs", str(tmp_path / f"p{count}.csv"),
+        ]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _BENCH_INPUT_HASHES
+    }
+    assert digests == _BENCH_INPUT_HASHES
+
+
 # Bytes that steer the text parsers (digits, separators, signs, exponent,
 # nan/inf letters, header and JSON syntax), mixed with arbitrary ones.
 _BYTE = st.one_of(
