@@ -20,7 +20,10 @@ Subcommands:
   pca     held-out EER across PCA output dimensionalities for each learner.
           PCA is fitted on the feature matrix and the learners are trained on
           the projected features; the raw (no-PCA) row is included for
-          reference and ``--`` marks covariance-inversion failures.
+          reference. ``--`` marks covariance-inversion failures
+          (SingularCovariance), ``deg`` degenerate pair statistics
+          (DegenerateStats, e.g. rmml on 1-wide cascade groups) and ``err``
+          any other numerical failure.
 
 Every subcommand samples one pair pool per seed and splits it into disjoint
 train and held-out pairs with ``split_pairs``.
@@ -116,6 +119,15 @@ def run_lambda(args):
         print(f"{lam:>7.1f} {plain[:, k].mean():>10.4f} {casc[:, k].mean():>12.4f}")
 
 
+def failure_mark(exc):
+    """The table cell that stands for a fit that raised ``exc``."""
+    if isinstance(exc, ecml.SingularCovariance):
+        return "--"
+    if isinstance(exc, ecml.DegenerateStats):
+        return "deg"
+    return "err"
+
+
 def run_pca(args):
     feats, train, heldout = problem(args, args.seed)
     learners = [("rmml", 0.1 if args.stages else 0.5), ("kissme", None),
@@ -131,8 +143,8 @@ def run_pca(args):
             try:
                 model = fit(reduced, train, args.stages, name, lam, args.seed)
                 cells.append(f"{eer(model, reduced, heldout):>18.4f}")
-            except ecml.NumericalError:
-                cells.append(f"{'--':>18}")
+            except ecml.NumericalError as exc:
+                cells.append(f"{failure_mark(exc):>18}")
         print(f"{tag:>8}" + "".join(cells))
 
 

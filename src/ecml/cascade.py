@@ -23,6 +23,8 @@ stage outputs bit for bit.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ import numpy as np
 
 from ._linalg import fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
-from .features import FeatureMatrix, PairSet, PcaModel, _read_bytes, _write_bytes
+from .features import FeatureMatrix, PairSet, PcaModel, _write_bytes
 from .metrics import MetricModel, _beside, _release_free_heap, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
@@ -261,8 +263,14 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     gdim = perm.size // n_groups
     block = np.empty((shuffled.shape[0], gdim))
     projections = []
+    # the stats read each group's columns through a read-only view, uncopied
+    # and unchecked: they hold the stage input's finite values or padding
+    # zeros until the group is mapped, after its stats call
+    view = shuffled.view()
+    view.setflags(write=False)
     for g in range(n_groups):
-        stats = accumulate_stats(FeatureMatrix(shuffled[:, g * gdim : (g + 1) * gdim]), pairs)
+        group = FeatureMatrix._trusted(view[:, g * gdim : (g + 1) * gdim])
+        stats = accumulate_stats(group, pairs)
         mapping = (
             _beside(_map_group, shuffled, g - 1, projections[-1].p, block, name="ecml-stage-map")
             if g else nullcontext()
@@ -363,7 +371,9 @@ def cascade_distance(model: CascadeModel, x, y):
             f"(n, {model.input_dim}) row blocks, got shapes {x.shape} and {y.shape}"
         )
     n = x.shape[0]
-    mapped = transform(model, FeatureMatrix(np.vstack([x, y]))).data
+    stacked = np.vstack([x, y])
+    stacked.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
+    mapped = transform(model, FeatureMatrix(stacked)).data
     d = mapped[:n] - mapped[n:]
     scores = ((d @ model.final_metric.matrix) * d).sum(1)
     return float(scores[0]) if single else scores
@@ -421,40 +431,62 @@ def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
     _write_bytes(path, chunks)
 
 
-class _Cursor:
-    """Sequential reader that reports expected vs actual length on underrun."""
+class _Reader:
+    """Reads a model file front to back, checking each read against the file size.
 
-    def __init__(self, buf, path):
-        self.buf = buf
+    Arrays are read straight from the file into fresh aligned arrays, marked
+    read-only so that the model objects keep them uncopied.
+    """
+
+    def __init__(self, fh, path):
+        self.fh = fh
         self.path = path
+        self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
 
-    def take(self, n, what):
-        if self.off + n > len(self.buf):
+    def _advance(self, n, what):
+        if self.off + n > self.size:
             raise ValidationError(
                 f"{self.path}: truncated model file: need {self.off + n} bytes "
-                f"through {what}, file has {len(self.buf)}"
+                f"through {what}, file has {self.size}"
             )
-        out = self.buf[self.off : self.off + n]
         self.off += n
+
+    def _shrank(self):
+        return ValidationError(f"{self.path}: model file shrank while being read")
+
+    def take(self, n, what):
+        self._advance(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise self._shrank()
         return out
 
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def floats(self, count, what):
-        raw = self.take(count * 8, what)
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-    def uints(self, count, what):
-        raw = self.take(count * 4, what)
-        return np.frombuffer(raw, dtype="<u4").astype(np.int64)
+    def array(self, shape, dtype, what):
+        """A read-only array of ``shape`` and the little-endian ``dtype``, read from the file."""
+        dtype = np.dtype(dtype)
+        self._advance(math.prod(shape) * dtype.itemsize, what)  # before allocating
+        arr = np.empty(shape, dtype=dtype)
+        if self.fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
+            raise self._shrank()
+        arr.setflags(write=False)
+        return arr
 
 
 def load_model(path):
     """Load a model file; returns (CascadeModel, PcaModel or None)."""
-    buf = _read_bytes(path)
-    cur = _Cursor(buf, path)
+    try:
+        with open(path, "rb") as fh:
+            return _read_model(_Reader(fh, path))
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read file: {exc}") from exc
+
+
+def _read_model(cur):
+    path = cur.path
     magic = cur.take(4, "magic")
     if magic != MODEL_MAGIC:
         raise ValidationError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
@@ -469,13 +501,12 @@ def load_model(path):
     stages = []
     for s in range(n_stages):
         n_groups, gdim = cur.unpack("<II", f"stage {s} header")
-        width = n_groups * gdim
-        perm = cur.uints(width, f"stage {s} permutation")
+        perm = cur.array((n_groups * gdim,), "<u4", f"stage {s} permutation")
         mats = [
-            cur.floats(gdim * gdim, f"stage {s} group {g} projection").reshape(gdim, gdim)
+            cur.array((gdim, gdim), "<f8", f"stage {s} group {g} projection")
             for g in range(n_groups)
         ]
-        counts = cur.uints(n_groups, f"stage {s} clamped counts")
+        counts = cur.array((n_groups,), "<u4", f"stage {s} clamped counts")
         projections = tuple(
             Projection(p=mat, clamped_count=int(c)) for mat, c in zip(mats, counts)
         )
@@ -488,7 +519,7 @@ def load_model(path):
             )
         )
     (final_dim,) = cur.unpack("<I", "final metric dim")
-    fm = cur.floats(final_dim * final_dim, "final metric").reshape(final_dim, final_dim)
+    fm = cur.array((final_dim, final_dim), "<f8", "final metric")
     final = MetricModel(
         matrix=fm,
         learner=tag,
@@ -499,14 +530,14 @@ def load_model(path):
     pca = None
     if has_pca == 1:
         pca_dim, pca_k = cur.unpack("<II", "pca header")
-        mean = cur.floats(pca_dim, "pca mean")
-        basis = cur.floats(pca_dim * pca_k, "pca basis").reshape(pca_dim, pca_k)
+        mean = cur.array((pca_dim,), "<f8", "pca mean")
+        basis = cur.array((pca_dim, pca_k), "<f8", "pca basis")
         pca = PcaModel(mean=mean, basis=basis)
     elif has_pca != 0:
         raise ValidationError(f"{path}: invalid pca flag {has_pca}")
-    if cur.off != len(buf):
+    if cur.off != cur.size:
         raise ValidationError(
-            f"{path}: {len(buf) - cur.off} unexpected trailing bytes after model payload"
+            f"{path}: {cur.size - cur.off} unexpected trailing bytes after model payload"
         )
     model = CascadeModel(
         stages=tuple(stages),

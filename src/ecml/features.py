@@ -36,6 +36,10 @@ _HEADER_RE = re.compile(r"#\s*dim=(\d+)\s+count=(\d+)\s*$")
 
 FEATURE_FORMATS = ("csv", "raw-binary")
 
+# Rows centered and projected per block in apply_pca, which bounds its
+# temporary to this many rows (one more with a folded 1-row remainder)
+PCA_ROWS = 256
+
 
 @dataclass(frozen=True)
 class FeatureMatrix:
@@ -50,11 +54,22 @@ class FeatureMatrix:
         n, d = arr.shape
         if n < 1 or d < 1:
             raise ValidationError(f"feature matrix needs N >= 1 and D >= 1, got N={n}, D={d}")
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            r, c = map(int, np.argwhere(bad)[0])
-            raise ValidationError(f"non-finite feature value at row {r}, column {c}")
+        bad = _first_nonfinite(arr)
+        if bad is not None:
+            raise ValidationError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
         object.__setattr__(self, "data", freeze_array(arr))
+
+    @classmethod
+    def _trusted(cls, arr):
+        """Features over ``arr`` itself: no copy and no checks.
+
+        For a read-only float64 view of values already checked, such as one
+        group's column block of a cascade stage's input. The caller leaves
+        the viewed cells unchanged for as long as the matrix is in use.
+        """
+        features = object.__new__(cls)
+        object.__setattr__(features, "data", arr)
+        return features
 
     @property
     def count(self) -> int:
@@ -133,7 +148,8 @@ class PcaModel:
         if not 1 <= k <= basis.shape[0]:
             raise ValidationError(f"PCA basis needs 1 <= k <= D, got k={k}, D={basis.shape[0]}")
         gram = basis.T @ basis
-        if np.abs(gram - np.eye(k)).max() > 1e-8:
+        gram.flat[:: k + 1] -= 1.0  # gram - I, in place
+        if np.abs(gram, out=gram).max() > 1e-8:
             raise ValidationError("PCA basis columns are not orthonormal within 1e-8")
         object.__setattr__(self, "mean", freeze_array(mean))
         object.__setattr__(self, "basis", freeze_array(basis))
@@ -178,13 +194,6 @@ def _read_text(path):
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{path}: cannot read file: {exc}") from exc
-
-
-def _read_bytes(path):
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
 
 
@@ -245,11 +254,22 @@ def _parse_table(path, rows, cast, width=None):
     except OverflowError:
         k = next(k for k, v in enumerate(cells) if not -(2**63) <= v < 2**63)
         fail(*divmod(k, width), "integer out of int64 range")
-    bad = ~np.isfinite(arr)  # never set for integers
-    if bad.any():
-        r, c = map(int, np.argwhere(bad)[0])
-        fail(r, c, f"non-finite value {float(arr[r, c])!r}")
+    bad = _first_nonfinite(arr)  # never found for integers
+    if bad is not None:
+        fail(*bad, f"non-finite value {float(arr[bad])!r}")
     return arr
+
+
+def _first_nonfinite(arr):
+    """(row, column) of the first non-finite entry of the 2-D ``arr``, or None.
+
+    Every entry is finite exactly when the minimum and the maximum are (both
+    propagate NaN), and neither reduction builds an array the size of ``arr``;
+    only a failure does, to find the cell.
+    """
+    if np.isfinite(arr.min()) and np.isfinite(arr.max()):
+        return None
+    return tuple(map(int, np.argwhere(~np.isfinite(arr))[0]))
 
 
 def _load_csv(path) -> FeatureMatrix:
@@ -347,23 +367,49 @@ def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
         )
     mean = features.data.mean(axis=0)
     centered = features.data - mean
-    cov = centered.T @ centered / (n - 1)
+    cov = centered.T @ centered
+    # the N x D centered copy is freed, and the covariance scaled in place,
+    # before eigh allocates its own workspace
+    del centered
+    cov /= n - 1
     try:
         evals, evecs = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance eigendecomposition failed: {exc}") from exc
     order = np.argsort(evals)[::-1][:k]
     basis = fix_column_signs(evecs[:, order])
+    # read-only, so that PcaModel keeps them uncopied
+    mean.setflags(write=False)
+    basis.setflags(write=False)
     return PcaModel(mean=mean, basis=basis)
 
 
 def apply_pca(model: PcaModel, features: FeatureMatrix) -> FeatureMatrix:
-    """Project rows onto the PCA basis: (x - mean) @ basis."""
+    """Project rows onto the PCA basis: (x - mean) @ basis.
+
+    Rows are centered and projected ``PCA_ROWS`` at a time into one output
+    array, so beside it the call holds one centered block. The bits equal
+    those of one product over all rows, except that BLAS computes a 1-row
+    product as a matrix-vector product, which rounds differently; a 1-row
+    remainder is therefore projected with the block before it.
+    """
     if features.dim != model.input_dim:
         raise ValidationError(
             f"feature dim {features.dim} does not match PCA input dim {model.input_dim}"
         )
-    return FeatureMatrix((features.data - model.mean) @ model.basis)
+    x, n = features.data, features.count
+    starts = list(range(0, n, PCA_ROWS))
+    if n > 1 and n % PCA_ROWS == 1:
+        starts.pop()
+    bounds = [*starts, n]
+    out = np.empty((n, model.k))
+    centered = np.empty((min(n, PCA_ROWS + 1), features.dim))
+    for start, stop in zip(bounds, bounds[1:]):
+        block = centered[: stop - start]
+        np.subtract(x[start:stop], model.mean, out=block)
+        np.matmul(block, model.basis, out=out[start:stop])
+    out.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
+    return FeatureMatrix(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Tests for the spectral projection, stage fitting, cascade, and persistence."""
 
+import builtins
+import struct
 import threading
 import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -215,8 +218,13 @@ class TestStageOverlap:
 
         def recorded(name, fn):
             def wrapper(*args):
+                # a stats call reads a view of the stage's matrix, whose columns
+                # are mapped in place afterwards: record the values it read
+                seen = tuple(
+                    np.array(a.data) if isinstance(a, ecml.FeatureMatrix) else a for a in args
+                )
                 out = fn(*args)
-                calls.append((name, threading.current_thread(), args, out))
+                calls.append((name, threading.current_thread(), seen, out))
                 return out
 
             return wrapper
@@ -240,7 +248,7 @@ class TestStageOverlap:
             gdim = stage.group_dim
             for g, proj in enumerate(stage.projections):
                 stats, fit, factor = next(groups)
-                block = stats[2][0].data
+                block = stats[2][0]
                 assert np.array_equal(block, shuffled[:, g * gdim : (g + 1) * gdim])
                 assert fit[2][0] is stats[3]
                 assert factor[2][0] is fit[3].matrix and factor[3] is proj
@@ -567,3 +575,72 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ValidationError, match="trailing"):
             ecml.load_model(path)
+
+    def test_load_peak_is_payload_plus_one_mb(self, tmp_path, rng):
+        # PCA 1024 -> 256, then one stage of two 128-wide groups; the largest
+        # check temporaries are PcaModel's 256 x 256 gram and a bool per
+        # final-metric entry, both well under 1 MB
+        basis = np.linalg.qr(rng.normal(size=(1024, 256)))[0]
+        pca = ecml.PcaModel(mean=rng.normal(size=1024), basis=basis)
+        projections = tuple(ecml.Projection(rng.normal(size=(128, 128)), 0) for _ in range(2))
+        stage = ecml.StageModel(rng.permutation(256), 2, 128, projections)
+        final = ecml.MetricModel(np.eye(256), "rmml", 0.1, 1.0)
+        path = tmp_path / "m.ecml"
+        ecml.save_model(ecml.CascadeModel((stage,), final, 256, 0), path, pca=pca)
+        tracemalloc.start()
+        try:
+            model, pca_back = ecml.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + 2**20
+        # each array is its own aligned buffer, read-only, held uncopied
+        arrays = [model.final_metric.matrix, pca_back.mean, pca_back.basis,
+                  *(p.p for p in model.stages[0].projections)]
+        for arr in arrays:
+            assert arr.base is None and arr.flags.aligned and not arr.flags.writeable
+        assert np.array_equal(pca_back.basis, pca.basis)
+
+    @pytest.mark.parametrize("edit, error", [
+        ("none", None), ("truncated", "truncated"), ("trailing", "trailing"),
+        ("magic", "bad magic"), ("version", "unsupported model version"),
+        ("tag", "UTF-8"), ("pca-flag", "invalid pca flag 2"),
+    ])
+    def test_file_closed_on_every_path(self, tmp_path, monkeypatch, edit, error):
+        feats, _, pairs = clustered_problem(seed=29, dim=8)
+        pca = ecml.fit_pca(feats, 4)
+        model = ecml.fit_cascade(
+            ecml.apply_pca(pca, feats), pairs, 1, ecml.make_learner("rmml", 0.1), seed=3
+        )
+        path = tmp_path / "m.ecml"
+        ecml.save_model(model, path, pca=pca)
+        blob = bytearray(path.read_bytes())
+        # the pca block is the flag, two u32, the mean and the basis
+        flag_at = len(blob) - 1 - 8 - 8 * 8 - 8 * 8 * 4
+        if edit == "truncated":
+            del blob[-5:]
+        elif edit == "trailing":
+            blob += b"x"
+        elif edit == "magic":
+            blob[:4] = b"JUNK"
+        elif edit == "version":
+            blob[4:8] = struct.pack("<I", 9)
+        elif edit == "tag":
+            blob[12] = 0xFF
+        elif edit == "pca-flag":
+            blob[flag_at] = 2
+        path.write_bytes(bytes(blob))
+        opened = []
+
+        def tracking_open(*args, **kwargs):
+            fh = builtins.open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(ecml.cascade, "open", tracking_open, raising=False)
+        if error is None:
+            ecml.load_model(path)
+        else:
+            with pytest.raises(ValidationError, match=error):
+                ecml.load_model(path)
+        assert len(opened) == 1 and opened[0].closed

@@ -570,6 +570,32 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "--model", str(workspace / "mt.ecml"))
         assert code == 2 and "truncated" in err
 
+    @pytest.mark.parametrize("damage", ["truncated", "trailing", "directory"])
+    def test_unloadable_model_exit_code_and_message(self, workspace, capsys, damage):
+        path = workspace / "md.ecml"
+        run(
+            capsys,
+            "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(path),
+        )
+        blob = path.read_bytes()
+        if damage == "truncated":
+            path.write_bytes(blob[:-7])
+            # the final metric ends just before the 1-byte pca flag
+            message = (
+                f"{path}: truncated model file: need {len(blob) - 1} bytes "
+                f"through final metric, file has {len(blob) - 7}"
+            )
+        elif damage == "trailing":
+            path.write_bytes(blob + b"xyz")
+            message = f"{path}: 3 unexpected trailing bytes after model payload"
+        else:
+            path = workspace / "dir.ecml"
+            path.mkdir()
+            message = f"{path}: cannot read file: [Errno 21] Is a directory: '{path}'"
+        code, _, err = run(capsys, "inspect", "--model", str(path))
+        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
+
     def test_non_utf8_learner_tag_errors(self, workspace, capsys):
         path = workspace / "mu.ecml"
         run(
@@ -654,3 +680,45 @@ class TestGoldenModelBytes:
             "--count", "6000", "--seed", "2", threads="2",
         )
         assert len(hashes) == 2 and hashes[0] == hashes[1]
+
+
+# Fits PCA to 32 dimensions and then plain kissme twice from synthetic
+# raw-binary inputs, printing one sha256 line per model file.
+_GOLDEN_PCA_FIT = """
+import hashlib, sys
+from pathlib import Path
+from ecml import cli
+
+work = Path(sys.argv[1])
+f, l, p = work / "f.bin", work / "l.csv", work / "p.csv"
+assert cli.main(["synth", *sys.argv[2:], "--format", "raw-binary",
+                 "--features", str(f), "--labels", str(l), "--pairs", str(p)]) == 0
+for k in (0, 1):
+    m = work / f"m{k}.ecml"
+    assert cli.main(["fit", "--features", str(f), "--pairs", str(p), "--format", "raw-binary",
+                     "--model", str(m), "--learner", "kissme", "--no-cascade",
+                     "--pca-dim", "32", "--seed", "0"]) == 0
+    print("sha256", hashlib.sha256(m.read_bytes()).hexdigest())
+"""
+
+
+class TestGoldenPcaModelBytes:
+    """Model bytes of a PCA front end plus plain kissme, fitted in a one-thread OpenBLAS child.
+
+    Same numpy and OpenBLAS caveat as ``TestGoldenModelBytes``.
+    """
+
+    def test_pca_then_plain_kissme(self, tmp_path):
+        # 27 x 19 = 513 samples: PCA projects them in row blocks, the last of
+        # which takes the 1-row remainder
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(ecml.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _GOLDEN_PCA_FIT, str(tmp_path),
+             "--ids", "27", "--samples-per-id", "19", "--dim", "64",
+             "--count", "3000", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        hashes = [line.split()[1] for line in out.splitlines() if line.startswith("sha256 ")]
+        assert hashes == ["a166c6055b58ddaef0af752ba7d60b5134b153bbcd4b666b785cd5d550fca2f7"] * 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import ecml
 from ecml.cascade import _shuffle
 from ecml.errors import ValidationError
+from ecml.features import PCA_ROWS
 
 
 class TestFeatureMatrix:
@@ -26,6 +27,25 @@ class TestFeatureMatrix:
         data[2, 1] = np.nan
         with pytest.raises(ValidationError, match="row 2, column 1"):
             ecml.FeatureMatrix(data)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinity_at_first_location(self, bad):
+        data = np.ones((4, 3))
+        data[2, 1] = bad
+        data[3, 0] = bad
+        with pytest.raises(ValidationError, match="row 2, column 1"):
+            ecml.FeatureMatrix(data)
+
+    def test_finiteness_check_builds_no_full_size_temporary(self, rng):
+        data = rng.normal(size=(500, 200))
+        data.setflags(write=False)  # kept uncopied
+        tracemalloc.start()
+        try:
+            ecml.FeatureMatrix(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.size // 8  # below even one bool per entry
 
     def test_immutable(self):
         m = ecml.FeatureMatrix(np.ones((2, 2)))
@@ -178,6 +198,48 @@ class TestPca:
         centered = data - data.mean(axis=0)
         proj = ecml.apply_pca(model, m).data
         assert np.abs(proj @ proj.T - centered @ centered.T).max() <= 1e-6
+
+    def test_fit_frees_centered_copy_before_eigh(self, rng, monkeypatch):
+        feats = ecml.FeatureMatrix(rng.normal(size=(2000, 64)))
+        live = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        tracemalloc.start()
+        try:
+            ecml.fit_pca(feats, 8)
+        finally:
+            tracemalloc.stop()
+        # the mean and the scaled D x D covariance, but no N x D temporary
+        assert len(live) == 1 and live[0] < feats.data.nbytes // 4
+
+    def test_apply_peak_is_output_plus_one_row_block(self, rng):
+        n, d, k = 1000, 256, 128
+        feats = ecml.FeatureMatrix(rng.normal(size=(n, d)))
+        model = ecml.fit_pca(feats, k)
+        tracemalloc.start()
+        try:
+            ecml.apply_pca(model, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # plus the fixed buffer numpy's subtract uses to broadcast the mean
+        assert peak <= 8 * (n * k + (PCA_ROWS + 1) * d + np.getbufsize()) + 4096
+
+    @pytest.mark.parametrize("n", [1, 2, 2 * PCA_ROWS, 2 * PCA_ROWS + 1, 2 * PCA_ROWS + 2])
+    def test_blocked_projection_equals_one_product_bitwise(self, rng, n):
+        # a 1-row remainder alone would be a matrix-vector product, which
+        # rounds differently; it is projected with the block before it
+        data = rng.normal(size=(n, 96))
+        model = ecml.fit_pca(ecml.FeatureMatrix(rng.normal(size=(80, 96))), 40)
+        got = ecml.apply_pca(model, ecml.FeatureMatrix(data)).data
+        want = (data - model.mean) @ model.basis
+        assert not got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_orthonormality_validated(self):
         with pytest.raises(ValidationError, match="orthonormal"):
