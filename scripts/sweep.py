@@ -22,8 +22,10 @@ Subcommands:
           the projected features; the raw (no-PCA) row is included for
           reference. ``--`` marks covariance-inversion failures
           (SingularCovariance), ``deg`` degenerate pair statistics
-          (DegenerateStats, e.g. rmml on 1-wide cascade groups) and ``err``
-          any other numerical failure.
+          (DegenerateStats, e.g. rmml on 1-wide cascade groups), ``err``
+          any other numerical failure and ``n/a`` a configuration that
+          cannot be fitted at all (ValidationError, e.g. 3 stages on fewer
+          than 2**3 PCA dimensions).
 
 Every subcommand samples one pair pool per seed and splits it into disjoint
 train and held-out pairs with ``split_pairs``.
@@ -125,6 +127,8 @@ def failure_mark(exc):
         return "--"
     if isinstance(exc, ecml.DegenerateStats):
         return "deg"
+    if isinstance(exc, ecml.ValidationError):
+        return "n/a"
     return "err"
 
 
@@ -143,7 +147,7 @@ def run_pca(args):
             try:
                 model = fit(reduced, train, args.stages, name, lam, args.seed)
                 cells.append(f"{eer(model, reduced, heldout):>18.4f}")
-            except ecml.NumericalError as exc:
+            except (ecml.NumericalError, ecml.ValidationError) as exc:
                 cells.append(f"{failure_mark(exc):>18}")
         print(f"{tag:>8}" + "".join(cells))
 

@@ -64,7 +64,6 @@ from .metrics import (
     fit_kissme,
     fit_rmml,
     make_learner,
-    merge_stats,
     objective,
 )
 

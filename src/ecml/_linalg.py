@@ -23,12 +23,15 @@ def symmetrize(m):
     For a bitwise-symmetric ``m`` the formula gives back ``m``'s own bits
     wherever it does not overflow, so skipping it changes no result. Where it
     does overflow, the entry becomes inf without a warning, so callers check
-    finiteness after symmetrizing.
+    finiteness after symmetrizing. A matrix built here is read-only, so that
+    ``freeze_array`` keeps it uncopied.
     """
     if is_symmetric(m):
         return m
     with np.errstate(over="ignore"):
-        return 0.5 * (m + m.T)
+        sym = 0.5 * (m + m.T)
+    sym.setflags(write=False)
+    return sym
 
 
 def fix_column_signs(q, tol=1e-12):

@@ -23,8 +23,6 @@ stage outputs bit for bit.
 
 from __future__ import annotations
 
-import math
-import os
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -33,7 +31,7 @@ import numpy as np
 
 from ._linalg import fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
-from .features import FeatureMatrix, PairSet, PcaModel, _write_bytes
+from .features import FeatureMatrix, PairSet, PcaModel, _BinaryReader, _write_bytes
 from .metrics import MetricModel, _beside, _release_free_heap, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
@@ -73,38 +71,45 @@ class Projection:
 
 @dataclass(frozen=True)
 class StageModel:
-    """One ensemble stage: a dimension shuffle plus per-group projections."""
+    """One ensemble stage: a dimension shuffle plus per-group projections.
+
+    The group count is the number of projections and the group width their
+    common dimension; the permutation shuffles count x width columns.
+    """
 
     permutation: np.ndarray
-    group_count: int
-    group_dim: int
     projections: tuple[Projection, ...]
 
     def __post_init__(self):
+        projections = tuple(self.projections)
+        if not projections:
+            raise ValidationError("a stage needs at least one group")
+        gdim = projections[0].dim
+        if gdim < 1:
+            raise ValidationError("group width must be >= 1")
+        for g, proj in enumerate(projections):
+            if proj.dim != gdim:
+                raise ValidationError(f"group {g} projection has dim {proj.dim}, expected {gdim}")
         perm = np.asarray(self.permutation, dtype=np.int64)
-        width = self.group_count * self.group_dim
-        if self.group_count < 1 or self.group_dim < 1:
-            raise ValidationError("group_count and group_dim must be >= 1")
+        width = len(projections) * gdim
         if perm.ndim != 1 or perm.size != width:
             raise ValidationError(f"permutation must have length {width}, got {perm.size}")
         if not np.array_equal(np.sort(perm), np.arange(width)):
             raise ValidationError("permutation is not a bijection of the padded dimensions")
-        projections = tuple(self.projections)
-        if len(projections) != self.group_count:
-            raise ValidationError(
-                f"expected {self.group_count} projections, got {len(projections)}"
-            )
-        for g, proj in enumerate(projections):
-            if proj.dim != self.group_dim:
-                raise ValidationError(
-                    f"group {g} projection has dim {proj.dim}, expected {self.group_dim}"
-                )
         object.__setattr__(self, "permutation", freeze_array(perm))
         object.__setattr__(self, "projections", projections)
 
     @property
+    def group_count(self) -> int:
+        return len(self.projections)
+
+    @property
+    def group_dim(self) -> int:
+        return self.projections[0].dim
+
+    @property
     def width(self) -> int:
-        return self.group_count * self.group_dim
+        return self.permutation.size
 
 
 @dataclass(frozen=True)
@@ -284,13 +289,7 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
                 raise failure from exc
             projections.append(mcd(model.matrix))
     _map_group(shuffled, n_groups - 1, projections[-1].p, block)
-    stage = StageModel(
-        permutation=perm,
-        group_count=n_groups,
-        group_dim=gdim,
-        projections=tuple(projections),
-    )
-    return stage, _stage_output(shuffled)
+    return StageModel(perm, tuple(projections)), _stage_output(shuffled)
 
 
 def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, seed) -> CascadeModel:
@@ -431,56 +430,11 @@ def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
     _write_bytes(path, chunks)
 
 
-class _Reader:
-    """Reads a model file front to back, checking each read against the file size.
-
-    Arrays are read straight from the file into fresh aligned arrays, marked
-    read-only so that the model objects keep them uncopied.
-    """
-
-    def __init__(self, fh, path):
-        self.fh = fh
-        self.path = path
-        self.size = os.fstat(fh.fileno()).st_size
-        self.off = 0
-
-    def _advance(self, n, what):
-        if self.off + n > self.size:
-            raise ValidationError(
-                f"{self.path}: truncated model file: need {self.off + n} bytes "
-                f"through {what}, file has {self.size}"
-            )
-        self.off += n
-
-    def _shrank(self):
-        return ValidationError(f"{self.path}: model file shrank while being read")
-
-    def take(self, n, what):
-        self._advance(n, what)
-        out = self.fh.read(n)
-        if len(out) != n:
-            raise self._shrank()
-        return out
-
-    def unpack(self, fmt, what):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
-
-    def array(self, shape, dtype, what):
-        """A read-only array of ``shape`` and the little-endian ``dtype``, read from the file."""
-        dtype = np.dtype(dtype)
-        self._advance(math.prod(shape) * dtype.itemsize, what)  # before allocating
-        arr = np.empty(shape, dtype=dtype)
-        if self.fh.readinto(memoryview(arr).cast("B")) != arr.nbytes:
-            raise self._shrank()
-        arr.setflags(write=False)
-        return arr
-
-
 def load_model(path):
     """Load a model file; returns (CascadeModel, PcaModel or None)."""
     try:
         with open(path, "rb") as fh:
-            return _read_model(_Reader(fh, path))
+            return _read_model(_BinaryReader(fh, path, "model"))
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
 
@@ -510,14 +464,7 @@ def _read_model(cur):
         projections = tuple(
             Projection(p=mat, clamped_count=int(c)) for mat, c in zip(mats, counts)
         )
-        stages.append(
-            StageModel(
-                permutation=perm,
-                group_count=int(n_groups),
-                group_dim=int(gdim),
-                projections=projections,
-            )
-        )
+        stages.append(StageModel(perm, projections))
     (final_dim,) = cur.unpack("<I", "final metric dim")
     fm = cur.array((final_dim, final_dim), "<f8", "final metric")
     final = MetricModel(

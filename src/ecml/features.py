@@ -20,6 +20,7 @@ Label files: one integer identity id per line.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 import struct
@@ -292,42 +293,76 @@ def _load_csv(path) -> FeatureMatrix:
     return FeatureMatrix(data)
 
 
+class _BinaryReader:
+    """Reads a binary file front to back, checking each read against the file size.
+
+    ``kind`` names the file in messages ("model", "feature"). Arrays are read
+    straight from the file into fresh aligned arrays, marked read-only so
+    that the objects built on them keep them uncopied.
+    """
+
+    def __init__(self, fh, path, kind):
+        self.fh = fh
+        self.path = path
+        self.kind = kind
+        self.size = os.fstat(fh.fileno()).st_size
+        self.off = 0
+
+    def _advance(self, n, what):
+        if self.off + n > self.size:
+            raise ValidationError(
+                f"{self.path}: truncated {self.kind} file: need {self.off + n} bytes "
+                f"through {what}, file has {self.size}"
+            )
+        self.off += n
+
+    def _shrank(self):
+        return ValidationError(f"{self.path}: {self.kind} file shrank while being read")
+
+    def take(self, n, what):
+        self._advance(n, what)
+        out = self.fh.read(n)
+        if len(out) != n:
+            raise self._shrank()
+        return out
+
+    def unpack(self, fmt, what):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def array(self, shape, dtype, what):
+        """A read-only array of ``shape`` and the little-endian ``dtype``, read from the file."""
+        dtype = np.dtype(dtype)
+        self._advance(math.prod(shape) * dtype.itemsize, what)  # before allocating
+        arr = np.empty(shape, dtype=dtype)
+        if self.fh.readinto(arr) != arr.nbytes:
+            raise self._shrank()
+        arr.setflags(write=False)
+        return arr
+
+
 def _load_binary(path) -> FeatureMatrix:
     """Read the payload straight into a fresh, aligned array.
 
     A view into the file's bytes would start at byte 20, which is not 8-byte
     aligned, and numpy runs its slower unaligned loops on such an array.
     """
-    header = 4 + 8 + 8
     try:
         with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            head = fh.read(header)
-            if len(head) < header:
+            cur = _BinaryReader(fh, path, "feature")
+            magic = cur.take(4, "magic")
+            if magic != FEATURE_MAGIC:
+                raise ValidationError(f"{path}: bad magic {magic!r}, expected {FEATURE_MAGIC!r}")
+            n, d = cur.unpack("<QQ", "header")
+            expected = cur.off + n * d * 8
+            if cur.size != expected:
                 raise ValidationError(
-                    f"{path}: file too short for feature header ({len(head)} bytes)"
-                )
-            if head[:4] != FEATURE_MAGIC:
-                raise ValidationError(
-                    f"{path}: bad magic {head[:4]!r}, expected {FEATURE_MAGIC!r}"
-                )
-            n, d = struct.unpack_from("<QQ", head, 4)
-            expected = header + n * d * 8
-            if size != expected:
-                raise ValidationError(
-                    f"{path}: expected {expected} bytes for {n}x{d} features, found {size}"
+                    f"{path}: expected {expected} bytes for {n}x{d} features, found {cur.size}"
                 )
             if n < 1 or d < 1:
                 raise ValidationError(f"{path}: header declares empty matrix {n}x{d}")
-            data = np.empty((n, d), dtype="<f8")
-            got = fh.readinto(memoryview(data).cast("B"))
+            data = cur.array((n, d), "<f8", "features")
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
-    if got != data.nbytes:
-        raise ValidationError(
-            f"{path}: file shrank while being read ({got} of {data.nbytes} payload bytes)"
-        )
-    data.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
     return FeatureMatrix(data)
 
 

@@ -32,17 +32,15 @@ LEARNER_NAMES = ("rmml", "kissme", "genuine-baseline")
 
 @dataclass(frozen=True)
 class DifferenceStats:
-    """Accumulated outer products and squared norms of pair differences.
+    """Accumulated outer products of pair differences.
 
     ``sum_pos`` is the D x D sum of d d^T over matched pairs and ``tr_pos``
-    the matching sum of d^T d (equal to trace(sum_pos)); likewise for the
-    unmatched quantities.
+    its trace, the matching sum of d^T d; likewise for the unmatched
+    quantities.
     """
 
     sum_pos: np.ndarray
     sum_neg: np.ndarray
-    tr_pos: float
-    tr_neg: float
     n_pos: int
     n_neg: int
 
@@ -50,7 +48,7 @@ class DifferenceStats:
         self._check(psd=True)
 
     @classmethod
-    def _from_sums(cls, sum_pos, sum_neg, tr_pos, tr_neg, n_pos, n_neg):
+    def _from_sums(cls, sum_pos, sum_neg, n_pos, n_neg):
         """Stats whose matrices are sums of d d^T formed in this module.
 
         Such sums are PSD by construction, so the O(D^3) eigenvalue check of
@@ -58,8 +56,7 @@ class DifferenceStats:
         """
         stats = object.__new__(cls)
         for name, value in (
-            ("sum_pos", sum_pos), ("sum_neg", sum_neg), ("tr_pos", tr_pos),
-            ("tr_neg", tr_neg), ("n_pos", n_pos), ("n_neg", n_neg),
+            ("sum_pos", sum_pos), ("sum_neg", sum_neg), ("n_pos", n_pos), ("n_neg", n_neg),
         ):
             object.__setattr__(stats, name, value)
         stats._check(psd=False)
@@ -72,7 +69,7 @@ class DifferenceStats:
             raise ValidationError("sum matrices must be square and of equal shape")
         if self.n_pos < 1 or self.n_neg < 1:
             raise ValidationError("need at least one matched and one unmatched pair")
-        for name, mat, tr in (("matched", sp, self.tr_pos), ("unmatched", sn, self.tr_neg)):
+        for name, mat in (("matched", sp), ("unmatched", sn)):
             if not np.isfinite(mat).all():
                 raise ValidationError(f"{name} sum matrix has non-finite entries")
             scale = max(1.0, float(mat.max()), -float(mat.min()))  # max |entry|
@@ -80,16 +77,18 @@ class DifferenceStats:
                 raise ValidationError(f"{name} sum matrix is not symmetric within 1e-8")
             if psd and np.linalg.eigvalsh(symmetrize(mat)).min() < -1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
-            if abs(tr - np.trace(mat)) > 1e-8 * max(1.0, abs(tr)):
-                raise ValidationError(
-                    f"{name} squared-norm total {tr} disagrees with trace {np.trace(mat)}"
-                )
         object.__setattr__(self, "sum_pos", freeze_array(sp))
         object.__setattr__(self, "sum_neg", freeze_array(sn))
-        object.__setattr__(self, "tr_pos", float(self.tr_pos))
-        object.__setattr__(self, "tr_neg", float(self.tr_neg))
         object.__setattr__(self, "n_pos", int(self.n_pos))
         object.__setattr__(self, "n_neg", int(self.n_neg))
+
+    @property
+    def tr_pos(self) -> float:
+        return float(np.trace(self.sum_pos))
+
+    @property
+    def tr_neg(self) -> float:
+        return float(np.trace(self.sum_neg))
 
     @property
     def dim(self) -> int:
@@ -155,14 +154,7 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     # arrays are allocated; handing the free pages back once the class
     # buffers are gone keeps the fit's peak RSS the same from run to run
     _release_free_heap()
-    return DifferenceStats._from_sums(
-        sum_pos=sum_pos,
-        sum_neg=sum_neg,
-        tr_pos=float(np.trace(sum_pos)),
-        tr_neg=float(np.trace(sum_neg)),
-        n_pos=n_pos,
-        n_neg=n_neg,
-    )
+    return DifferenceStats._from_sums(sum_pos, sum_neg, n_pos, n_neg)
 
 
 def _concurrent_class_sums(x, pairs):
@@ -288,20 +280,6 @@ def _class_sum(x, first, second, gather, sub, total, prod):
             total += prod
 
 
-def merge_stats(a: DifferenceStats, b: DifferenceStats) -> DifferenceStats:
-    """Merge stats accumulated over disjoint pair partitions."""
-    if a.dim != b.dim:
-        raise ValidationError(f"cannot merge stats of dim {a.dim} and {b.dim}")
-    return DifferenceStats._from_sums(
-        sum_pos=a.sum_pos + b.sum_pos,
-        sum_neg=a.sum_neg + b.sum_neg,
-        tr_pos=a.tr_pos + b.tr_pos,
-        tr_neg=a.tr_neg + b.tr_neg,
-        n_pos=a.n_pos + b.n_pos,
-        n_neg=a.n_neg + b.n_neg,
-    )
-
-
 def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel:
     """Closed-form robust metric: M = I + lam * C / rho.
 
@@ -321,6 +299,7 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
     if rho < RHO_FLOOR:
         raise DegenerateStats(f"contrast matrix is numerically zero (mean |eigenvalue| = {rho:.3e})")
     m = np.eye(stats.dim) + lam * (contrast / rho)
+    m.setflags(write=False)  # so that MetricModel keeps it uncopied
     return MetricModel(matrix=m, learner="rmml", lam=float(lam), rho=rho)
 
 

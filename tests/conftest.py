@@ -27,8 +27,6 @@ def make_stats(rng, dim, n_pos=60, n_neg=60):
     return ecml.DifferenceStats(
         sum_pos=pos.T @ pos,
         sum_neg=neg.T @ neg,
-        tr_pos=float(np.trace(pos.T @ pos)),
-        tr_neg=float(np.trace(neg.T @ neg)),
         n_pos=n_pos,
         n_neg=n_neg,
     )
@@ -39,14 +37,6 @@ def clustered_problem(seed, ids=12, spp=12, dim=16, intra=1.0, inter=2.0, count=
     feats, labels = ecml.gen_synthetic(ids, spp, dim, intra, inter, seed)
     pairs = ecml.sample_pairs(labels, count, 0.5, seed)
     return feats, labels, pairs
-
-
-def split_pairs(pairs, n_train, seed):
-    """Disjoint train/held-out split of one sampled pair set."""
-    rng = np.random.default_rng(seed + 104729)
-    idx = rng.permutation(len(pairs))
-    take = lambda sel: ecml.PairSet(pairs.i[sel], pairs.j[sel], pairs.y[sel])
-    return take(idx[:n_train]), take(idx[n_train:])
 
 
 def brute_force_eer(sp):

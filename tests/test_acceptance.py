@@ -16,7 +16,8 @@ import ecml
 from ecml import cli
 from ecml.errors import SingularCovariance
 
-from conftest import brute_force_eer, split_pairs
+from conftest import brute_force_eer
+from sweep import split_pairs
 
 
 def _line(num, name, ok, detail=""):

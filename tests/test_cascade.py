@@ -16,7 +16,8 @@ import ecml
 from ecml.cascade import _fit_stage, _map_groups, _padded_width, _shuffle, _sqrt_norm
 from ecml.errors import SingularCovariance, ValidationError
 
-from conftest import clustered_problem, split_pairs
+from conftest import clustered_problem
+from sweep import split_pairs
 
 
 def fit_stage(feats, pairs, n_groups, learner, rng):
@@ -583,7 +584,7 @@ class TestPersistence:
         basis = np.linalg.qr(rng.normal(size=(1024, 256)))[0]
         pca = ecml.PcaModel(mean=rng.normal(size=1024), basis=basis)
         projections = tuple(ecml.Projection(rng.normal(size=(128, 128)), 0) for _ in range(2))
-        stage = ecml.StageModel(rng.permutation(256), 2, 128, projections)
+        stage = ecml.StageModel(rng.permutation(256), projections)
         final = ecml.MetricModel(np.eye(256), "rmml", 0.1, 1.0)
         path = tmp_path / "m.ecml"
         ecml.save_model(ecml.CascadeModel((stage,), final, 256, 0), path, pca=pca)

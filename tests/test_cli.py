@@ -493,6 +493,26 @@ class TestEval:
         )
         assert code in (0, 2)
 
+    @pytest.mark.parametrize("header, message", [
+        ((0, 8), "a stage needs at least one group"),
+        ((2, 0), "group width must be >= 1"),
+    ], ids=["no-groups", "zero-width"])
+    def test_empty_stage_header_rejected(self, workspace, capsys, header, message):
+        path = self.fit_model(workspace, capsys, "m.ecml", "--cascade", "--stages", "1")
+        model, _ = ecml.load_model(path)
+        offset = 12 + len(model.learner) + struct.calcsize("<ddQII")
+        blob = bytearray(path.read_bytes())
+        blob[offset : offset + 8] = struct.pack("<II", *header)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ecml.ValidationError, match=message):
+            ecml.load_model(path)
+        code, _, err = run(
+            capsys,
+            "eval", "--model", str(path),
+            "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
+        )
+        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
+
 
 class TestTransform:
     def test_matches_library_transform(self, workspace, capsys):

@@ -23,8 +23,6 @@ def stats_from_diffs(pos, neg):
     return ecml.DifferenceStats(
         sum_pos=pos.T @ pos,
         sum_neg=neg.T @ neg,
-        tr_pos=float((pos * pos).sum()),
-        tr_neg=float((neg * neg).sum()),
         n_pos=len(pos),
         n_neg=len(neg),
     )
@@ -137,20 +135,6 @@ class TestAccumulateStats:
         pairs = ecml.PairSet([0, 1], [1, 5], [1, 0])
         with pytest.raises(ValidationError, match="out of range"):
             ecml.accumulate_stats(feats, pairs)
-
-    def test_partition_merge(self, rng):
-        feats, _, pairs = clustered_problem(seed=9, count=400)
-        whole = ecml.accumulate_stats(feats, pairs)
-        half = len(pairs) // 2
-        # ensure each half keeps both labels by splitting on parity
-        even = ecml.PairSet(pairs.i[0::2], pairs.j[0::2], pairs.y[0::2])
-        odd = ecml.PairSet(pairs.i[1::2], pairs.j[1::2], pairs.y[1::2])
-        merged = ecml.merge_stats(
-            ecml.accumulate_stats(feats, even), ecml.accumulate_stats(feats, odd)
-        )
-        scale = max(1.0, np.abs(whole.sum_pos).max())
-        assert np.abs(merged.sum_pos - whole.sum_pos).max() <= 1e-9 * scale
-        assert merged.n_pos == whole.n_pos and merged.n_neg == whole.n_neg
 
     @pytest.mark.parametrize(
         "n_pos, n_neg",
@@ -283,20 +267,16 @@ class TestDifferenceStatsInvariants:
     def test_rejects_asymmetric(self):
         bad = np.asarray([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="symmetric"):
-            ecml.DifferenceStats(bad, np.eye(2), 2.0, 2.0, 1, 1)
+            ecml.DifferenceStats(bad, np.eye(2), 1, 1)
 
     def test_rejects_indefinite(self):
         bad = np.diag([1.0, -1.0])
         with pytest.raises(ValidationError, match="PSD"):
-            ecml.DifferenceStats(bad, np.eye(2), 0.0, 2.0, 1, 1)
-
-    def test_rejects_trace_mismatch(self):
-        with pytest.raises(ValidationError, match="trace"):
-            ecml.DifferenceStats(np.eye(2), np.eye(2), 5.0, 2.0, 1, 1)
+            ecml.DifferenceStats(bad, np.eye(2), 1, 1)
 
     def test_rejects_missing_class(self):
         with pytest.raises(ValidationError):
-            ecml.DifferenceStats(np.eye(2), np.eye(2), 2.0, 2.0, 0, 1)
+            ecml.DifferenceStats(np.eye(2), np.eye(2), 0, 1)
 
 
 class TestMetricModel:
@@ -321,6 +301,25 @@ class TestMetricModel:
         sym = np.asarray([[1.0, -0.0], [-0.0, 5e-324]])
         assert symmetrize(sym) is sym
 
+    @pytest.mark.parametrize("learner", metrics.LEARNER_NAMES)
+    def test_learner_matrix_kept_uncopied(self, learner, monkeypatch):
+        # each learner's matrix, or its symmetrized form, is built fresh and
+        # read-only, so MetricModel keeps it as it is
+        feats, _, pairs = clustered_problem(seed=11)
+        stats = ecml.accumulate_stats(feats, pairs)
+        freeze = metrics.freeze_array
+        copied = []
+
+        def tracking_freeze(arr):
+            out = freeze(arr)
+            if out is not arr:
+                copied.append(arr.shape)
+            return out
+
+        monkeypatch.setattr(metrics, "freeze_array", tracking_freeze)
+        model = ecml.make_learner(learner)(stats)
+        assert copied == [] and not model.matrix.flags.writeable
+
 
 class TestFitRmml:
     def test_lambda_zero_gives_identity(self, rng):
@@ -333,8 +332,6 @@ class TestFitRmml:
         stats = ecml.DifferenceStats(
             sum_pos=np.asarray([[1.0, 0.0], [0.0, 0.0]]),
             sum_neg=np.asarray([[0.0, 0.0], [0.0, 1.0]]),
-            tr_pos=1.0,
-            tr_neg=1.0,
             n_pos=1,
             n_neg=1,
         )
@@ -365,11 +362,11 @@ class TestFitRmml:
     def test_degenerate_matched_pairs(self):
         with pytest.raises(DegenerateStats, match="matched"):
             ecml.fit_rmml(
-                ecml.DifferenceStats(np.zeros((2, 2)), np.eye(2), 0.0, 2.0, 1, 1), 0.5
+                ecml.DifferenceStats(np.zeros((2, 2)), np.eye(2), 1, 1), 0.5
             )
 
     def test_zero_contrast_rejected(self):
-        stats = ecml.DifferenceStats(np.eye(2), np.eye(2), 2.0, 2.0, 1, 1)
+        stats = ecml.DifferenceStats(np.eye(2), np.eye(2), 1, 1)
         with pytest.raises(DegenerateStats, match="numerically zero"):
             ecml.fit_rmml(stats, 0.5)
 
@@ -414,14 +411,14 @@ class TestFitRmml:
 
 class TestFitKissme:
     def test_equal_stats_cancel(self):
-        stats = ecml.DifferenceStats(np.eye(3), np.eye(3), 3.0, 3.0, 1, 1)
+        stats = ecml.DifferenceStats(np.eye(3), np.eye(3), 1, 1)
         model = ecml.fit_kissme(stats)
         assert np.abs(model.matrix).max() <= 1e-12
         assert model.learner == "kissme" and model.lam is None
 
     def test_diagonal_example(self):
         stats = ecml.DifferenceStats(
-            np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), 3.0, 3.0, 1, 1
+            np.diag([1.0, 2.0]), np.diag([2.0, 1.0]), 1, 1
         )
         model = ecml.fit_kissme(stats)
         assert np.allclose(model.matrix, np.diag([0.5, -0.5]), atol=1e-12)
@@ -450,11 +447,11 @@ class TestFitKissme:
 
 class TestGenuineBaseline:
     def test_identity(self):
-        stats = ecml.DifferenceStats(np.eye(2), np.eye(2), 2.0, 2.0, 1, 1)
+        stats = ecml.DifferenceStats(np.eye(2), np.eye(2), 1, 1)
         assert np.allclose(ecml.fit_genuine_baseline(stats).matrix, np.eye(2), atol=1e-12)
 
     def test_diagonal(self):
-        stats = ecml.DifferenceStats(np.diag([4.0, 1.0]), np.eye(2), 5.0, 2.0, 1, 1)
+        stats = ecml.DifferenceStats(np.diag([4.0, 1.0]), np.eye(2), 1, 1)
         assert np.allclose(
             ecml.fit_genuine_baseline(stats).matrix, np.diag([0.25, 1.0]), atol=1e-12
         )

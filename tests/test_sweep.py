@@ -44,3 +44,13 @@ def test_pca_marks_degenerate_stats_apart_from_singular_covariance():
     )[1:]}
     assert rows["8"][0] == "deg"
     assert rows["raw"][1] == "--"
+
+
+def test_pca_marks_unfittable_configuration_and_goes_on():
+    # 3 stages need at least 2**3 input dimensions, which PCA 4 does not give;
+    # the row is marked and the sweep goes on to the next dimension
+    rows = {row.split()[0]: row.split()[1:] for row in run_sweep(
+        "pca", "--stages", "3", "--pca-dims", "4", "8"
+    )[1:]}
+    assert rows["4"] == ["n/a"] * 3
+    assert rows["8"][0] == "deg"
