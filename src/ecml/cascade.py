@@ -267,15 +267,15 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     """
     gdim = perm.size // n_groups
     block = np.empty((shuffled.shape[0], gdim))
+    # each group's columns are copied into ``block`` and summed through this
+    # read-only view, which FeatureMatrix keeps uncopied; the stats call
+    # returns before the helper maps the previous group through ``block``
+    group = block.view()
+    group.setflags(write=False)
     projections = []
-    # the stats read each group's columns through a read-only view, uncopied
-    # and unchecked: they hold the stage input's finite values or padding
-    # zeros until the group is mapped, after its stats call
-    view = shuffled.view()
-    view.setflags(write=False)
     for g in range(n_groups):
-        group = FeatureMatrix._trusted(view[:, g * gdim : (g + 1) * gdim])
-        stats = accumulate_stats(group, pairs)
+        np.copyto(block, shuffled[:, g * gdim : (g + 1) * gdim])
+        stats = accumulate_stats(FeatureMatrix(group), pairs)
         mapping = (
             _beside(_map_group, shuffled, g - 1, projections[-1].p, block, name="ecml-stage-map")
             if g else nullcontext()
@@ -394,6 +394,10 @@ def cascade_distance(model: CascadeModel, x, y):
 
 def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
     """Serialize a cascade model (and optional PCA front end) to ``path``."""
+    if pca is not None and pca.k != model.input_dim:
+        raise ValidationError(
+            f"PCA front end outputs {pca.k} dims, but the model takes {model.input_dim}"
+        )
     tag = model.final_metric.learner.encode("utf-8")
     lam = model.final_metric.lam
     rho = model.final_metric.rho
@@ -455,6 +459,9 @@ def _read_model(cur):
     stages = []
     for s in range(n_stages):
         n_groups, gdim = cur.unpack("<II", f"stage {s} header")
+        # checked before any group is read, so that the file's size, not the
+        # declared count, bounds how many (possibly empty) groups are built
+        cur.need(n_groups * (gdim * 4 + gdim * gdim * 8 + 4), f"stage {s} groups")
         perm = cur.array((n_groups * gdim,), "<u4", f"stage {s} permutation")
         mats = [
             cur.array((gdim, gdim), "<f8", f"stage {s} group {g} projection")
@@ -477,6 +484,10 @@ def _read_model(cur):
     pca = None
     if has_pca == 1:
         pca_dim, pca_k = cur.unpack("<II", "pca header")
+        if pca_k != input_dim:
+            raise ValidationError(
+                f"{path}: PCA front end outputs {pca_k} dims, but the model takes {input_dim}"
+            )
         mean = cur.array((pca_dim,), "<f8", "pca mean")
         basis = cur.array((pca_dim, pca_k), "<f8", "pca basis")
         pca = PcaModel(mean=mean, basis=basis)

@@ -60,18 +60,6 @@ class FeatureMatrix:
             raise ValidationError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
         object.__setattr__(self, "data", freeze_array(arr))
 
-    @classmethod
-    def _trusted(cls, arr):
-        """Features over ``arr`` itself: no copy and no checks.
-
-        For a read-only float64 view of values already checked, such as one
-        group's column block of a cascade stage's input. The caller leaves
-        the viewed cells unchanged for as long as the matrix is in use.
-        """
-        features = object.__new__(cls)
-        object.__setattr__(features, "data", arr)
-        return features
-
     @property
     def count(self) -> int:
         return self.data.shape[0]
@@ -308,12 +296,16 @@ class _BinaryReader:
         self.size = os.fstat(fh.fileno()).st_size
         self.off = 0
 
-    def _advance(self, n, what):
+    def need(self, n, what):
+        """Raise unless ``n`` more bytes, the size of ``what``, remain in the file."""
         if self.off + n > self.size:
             raise ValidationError(
                 f"{self.path}: truncated {self.kind} file: need {self.off + n} bytes "
                 f"through {what}, file has {self.size}"
             )
+
+    def _advance(self, n, what):
+        self.need(n, what)
         self.off += n
 
     def _shrank(self):

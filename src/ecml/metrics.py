@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ._linalg import freeze_array, is_symmetric, symmetrize
 from .errors import DegenerateStats, SingularCovariance, ValidationError
@@ -168,9 +167,8 @@ def _concurrent_class_sums(x, pairs):
     # cannot reuse heap that earlier stages freed, and large allocations made
     # while both threads run leave a heap layout, and so a peak RSS, that
     # depends on how the threads interleave
-    x, step = _row_source(x)
-    pos = _class_buffers(x, pairs, 1, step)
-    neg = _class_buffers(x, pairs, 0, step)
+    pos = _class_buffers(x, pairs, 1)
+    neg = _class_buffers(x, pairs, 0)
     with _beside(_class_sum, x, *pos, name="ecml-matched-stats"):
         _class_sum(x, *neg)
     return [(first.size, total) for first, *_, total, _ in (pos, neg)]
@@ -220,34 +218,13 @@ def _release_free_heap():
         trim(0)
 
 
-def _row_source(x):
-    """``(src, step)``: a C-contiguous ``src`` whose row ``r * step`` is row ``r`` of ``x``.
-
-    ``take`` copies a non-contiguous source whole on every call. A column
-    block of a C-contiguous matrix, which the cascade passes for each group,
-    has contiguous rows evenly spaced in memory; ``src`` views that memory
-    as rows of the block's width, uncopied. Any other ``x`` is returned as is.
-    """
-    n, width = x.shape
-    row, col = x.strides
-    if not x.flags.c_contiguous and col == x.itemsize and row > 0 and row % (width * col) == 0:
-        step = row // (width * col)
-        shape = ((n - 1) * step + 1, width)
-        return as_strided(x, shape, (width * col, col), writeable=False), step
-    return x, 1
-
-
-def _class_buffers(x, pairs, label, step=1):
+def _class_buffers(x, pairs, label):
     """Row indices and buffers for one class's sum: the arguments of _class_sum after x.
 
-    Sample r is row ``r * step`` of ``x`` (see ``_row_source``). The product
-    block is needed only when the class spans several chunks.
+    The product block is needed only when the class spans several chunks.
     """
     idx = np.flatnonzero(pairs.y == label)
     first, second = pairs.i[idx], pairs.j[idx]
-    if step != 1:
-        first *= step
-        second *= step
     width = x.shape[1]
     gather = np.empty((min(idx.size, STATS_CHUNK), width))
     sub = np.empty((min(idx.size, 64), width))

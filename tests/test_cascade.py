@@ -1,6 +1,7 @@
 """Tests for the spectral projection, stage fitting, cascade, and persistence."""
 
 import builtins
+import itertools
 import struct
 import threading
 import time
@@ -216,13 +217,19 @@ class TestStageOverlap:
         feats, _, pairs = clustered_problem(seed=21, dim=16)
         caller = threading.current_thread()
         calls = []
+        # (C-contiguous, writeable, data pointer) of each stats call's features
+        layouts = []
 
         def recorded(name, fn):
             def wrapper(*args):
-                # a stats call reads a view of the stage's matrix, whose columns
-                # are mapped in place afterwards: record the values it read
+                # a stats call reads a buffer that is overwritten afterwards:
+                # record the values it read
                 seen = tuple(
                     np.array(a.data) if isinstance(a, ecml.FeatureMatrix) else a for a in args
+                )
+                layouts.extend(
+                    (a.data.flags.c_contiguous, a.data.flags.writeable, a.data.ctypes.data)
+                    for a in args if isinstance(a, ecml.FeatureMatrix)
                 )
                 out = fn(*args)
                 calls.append((name, threading.current_thread(), seen, out))
@@ -238,6 +245,13 @@ class TestStageOverlap:
         model = ecml.fit_cascade(feats, pairs, 3, learner, seed=4)
 
         assert all(thread is caller for _, thread, _, _ in calls)
+        # the stats read only read-only C-contiguous arrays, and each stage's
+        # groups all through one buffer
+        assert all(contiguous and not writeable for contiguous, writeable, _ in layouts)
+        stage_calls = iter(layouts)
+        for n_groups in (8, 4, 2):
+            pointers = {ptr for _, _, ptr in itertools.islice(stage_calls, n_groups)}
+            assert len(pointers) == 1
         per_group = ["stats", "learner", "mcd"]
         assert [name for name, *_ in calls] == per_group * (8 + 4 + 2) + ["stats", "learner"]
         # each group's stats are summed over that group's columns of the stage
@@ -645,3 +659,89 @@ class TestPersistence:
             with pytest.raises(ValidationError, match=error):
                 ecml.load_model(path)
         assert len(opened) == 1 and opened[0].closed
+
+    def test_pca_width_mismatch_not_saved(self, tmp_path):
+        model = ecml.CascadeModel((), ecml.MetricModel(np.eye(8), "rmml"), 8, 0)
+        pca = ecml.PcaModel(mean=np.zeros(12), basis=np.eye(12)[:, :6])
+        path = tmp_path / "m.ecml"
+        with pytest.raises(ValidationError) as info:
+            ecml.save_model(model, path, pca=pca)
+        assert str(info.value) == "PCA front end outputs 6 dims, but the model takes 8"
+        assert not path.exists()
+
+    def test_pca_width_mismatch_not_loaded(self, tmp_path):
+        # every length in the file agrees; only the PCA output width is wrong
+        model = ecml.CascadeModel((), ecml.MetricModel(np.eye(8), "rmml"), 8, 0)
+        path = tmp_path / "m.ecml"
+        ecml.save_model(model, path)
+        pca = (
+            struct.pack("<II", 12, 6)
+            + np.zeros(12, dtype="<f8").tobytes()
+            + np.eye(12)[:, :6].astype("<f8").tobytes()
+        )
+        path.write_bytes(path.read_bytes()[:-1] + b"\x01" + pca)
+        with pytest.raises(ValidationError) as info:
+            ecml.load_model(path)
+        assert str(info.value) == f"{path}: PCA front end outputs 6 dims, but the model takes 8"
+
+    @pytest.mark.parametrize("n_groups", [10**5, 2**32 - 1])
+    def test_stage_groups_checked_against_file_size_before_reading(self, tmp_path, n_groups):
+        # 56 bytes: the model header and a stage header of n empty groups,
+        # each of which would be built before the file ran out
+        head = MODEL_HEAD + struct.pack("<ddQII", 0.1, 1.0, 0, 8, 1)
+        path = tmp_path / "m.ecml"
+        path.write_bytes(head + struct.pack("<II", n_groups, 0))
+        with pytest.raises(ValidationError) as info:
+            ecml.load_model(path)
+        assert str(info.value) == (
+            f"{path}: truncated model file: need {56 + 4 * n_groups} bytes "
+            f"through stage 0 groups, file has 56"
+        )
+
+
+MODEL_HEAD = b"ECML" + struct.pack("<II", 1, 4) + b"rmml"
+
+# u32 fields of a model file with a PCA front end and one stage
+HEADER_FIELDS = (
+    "tag length", "input dim", "stage count", "group count", "group width",
+    "final dim", "pca input dim", "pca k",
+)
+
+
+@pytest.fixture(scope="module")
+def header_sample(tmp_path_factory):
+    """A valid model file (PCA 6 -> 4, one stage of 2 x 2) and each u32 field's offset."""
+    rng = np.random.default_rng(0)
+    pca = ecml.PcaModel(mean=rng.normal(size=6), basis=np.linalg.qr(rng.normal(size=(6, 4)))[0])
+    stage = ecml.StageModel([2, 0, 3, 1], tuple(ecml.Projection(np.eye(2), 0) for _ in range(2)))
+    model = ecml.CascadeModel((stage,), ecml.MetricModel(np.eye(4), "rmml", 0.1, 1.0), 4, 0)
+    path = tmp_path_factory.mktemp("header") / "m.ecml"
+    ecml.save_model(model, path, pca=pca)
+    blob = path.read_bytes()
+    head = len(MODEL_HEAD) + struct.calcsize("<ddQ")
+    final = head + 16 + 4 * 4 + 8 * 2 * 2**2 + 4 * 2
+    offsets = dict(zip(HEADER_FIELDS, (8, head, head + 4, head + 8, head + 12, final,
+                                       final + 4 + 8 * 4**2 + 1, final + 4 + 8 * 4**2 + 5)))
+    values = [struct.unpack_from("<I", blob, offsets[name])[0] for name in HEADER_FIELDS]
+    assert values == [4, 4, 1, 2, 2, 4, 6, 4]
+    return path, blob, offsets
+
+
+_U32 = st.one_of(
+    st.sampled_from([0, 1, 2, 2**31, 2**32 - 1]), st.integers(0, 16), st.integers(0, 2**32 - 1)
+)
+
+
+@settings(max_examples=200)
+@given(edits=st.dictionaries(st.sampled_from(HEADER_FIELDS), _U32, min_size=1))
+def test_model_header_fields_load_or_raise_validation_error(header_sample, edits):
+    # within Hypothesis' deadline: no declared size may set the work done
+    path, blob, offsets = header_sample
+    out = bytearray(blob)
+    for name, value in edits.items():
+        struct.pack_into("<I", out, offsets[name], value)
+    path.write_bytes(bytes(out))
+    try:
+        ecml.load_model(path)
+    except ValidationError:
+        pass

@@ -513,6 +513,28 @@ class TestEval:
         )
         assert code == 2 and err.splitlines()[-1] == f"error: {message}"
 
+    def test_huge_stage_group_count_exits_fast(self, workspace):
+        # a 56-byte model declaring 2**32 - 1 empty groups; reading them one
+        # by one until the file ran out would take hours, so a child is timed
+        path = workspace / "groups.ecml"
+        path.write_bytes(
+            b"ECML" + struct.pack("<II", 1, 4) + b"rmml"
+            + struct.pack("<ddQIIII", 0.1, 1.0, 0, 16, 1, 2**32 - 1, 0)
+        )
+        env = dict(os.environ)
+        src = str(Path(ecml.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "ecml.cli", "eval", "--model", str(path),
+             "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv")],
+            env=env, capture_output=True, text=True, timeout=20,
+        )
+        assert out.returncode == 2
+        assert out.stderr.splitlines()[-1] == (
+            f"error: {path}: truncated model file: need {56 + 4 * (2**32 - 1)} bytes "
+            f"through stage 0 groups, file has 56"
+        )
+
 
 class TestTransform:
     def test_matches_library_transform(self, workspace, capsys):

@@ -160,34 +160,6 @@ class TestAccumulateStats:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert (stats.n_pos, stats.n_neg) == (n_pos, n_neg)
 
-    @pytest.mark.parametrize("cols", [slice(64, 96), slice(5, 37), slice(0, 40)])
-    def test_column_block_view_sums_bitwise_as_its_copy(self, cols):
-        # 32 of 96 columns are evenly spaced rows of 32 in memory and are read
-        # in place; 40 columns are not, and are gathered as they are
-        rng = np.random.default_rng(cols.start)
-        x = rng.normal(size=(300, 96))
-        x.setflags(write=False)
-        pairs = random_pairs(rng, 300, np.arange(2 * metrics.STATS_CHUNK + 7) % 2)
-        got = ecml.accumulate_stats(ecml.FeatureMatrix._trusted(x[:, cols]), pairs)
-        want = ecml.accumulate_stats(ecml.FeatureMatrix(x[:, cols]), pairs)
-        for a, b in ((got.sum_pos, want.sum_pos), (got.sum_neg, want.sum_neg)):
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-
-    def test_column_block_view_gathered_uncopied(self):
-        # take would copy a non-contiguous source whole on every gather
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(5000, 96))
-        x.setflags(write=False)
-        block = x[:, 32:64]
-        pairs = random_pairs(rng, 5000, np.arange(600) % 2)
-        tracemalloc.start()
-        try:
-            ecml.accumulate_stats(ecml.FeatureMatrix._trusted(block), pairs)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < block.nbytes // 2
-
     def test_class_sum_allocates_no_arrays(self):
         # allocations made while both threads sum would make the heap layout,
         # and so the peak RSS, depend on how the threads interleave
