@@ -11,6 +11,22 @@ def freeze_array(arr):
     return arr
 
 
+def row_blocks(n, size):
+    """(start, stop) bounds of consecutive blocks of ``size`` rows out of ``n``.
+
+    BLAS computes a 1-row product as a matrix-vector product, which rounds
+    differently from the same row inside a larger block; a 1-row remainder
+    is therefore joined to the block before it, so a row's product has the
+    same bits whichever block holds it. A block then has up to ``size + 1``
+    rows.
+    """
+    starts = list(range(0, n, size))
+    if n > 1 and n % size == 1:
+        starts.pop()
+    bounds = [*starts, n]
+    return list(zip(bounds, bounds[1:]))
+
+
 def is_symmetric(m):
     """True when the float64 matrix ``m`` equals its transpose bit for bit."""
     bits = m.view(np.uint64)

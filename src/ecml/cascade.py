@@ -342,12 +342,16 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     )
 
 
-def transform(model: CascadeModel, features: FeatureMatrix) -> FeatureMatrix:
-    """Replay the fitted stages; output lives in the final metric's space."""
+def _check_input_dim(model: CascadeModel, features: FeatureMatrix):
     if features.dim != model.input_dim:
         raise ValidationError(
             f"feature dim {features.dim} does not match model input dim {model.input_dim}"
         )
+
+
+def transform(model: CascadeModel, features: FeatureMatrix) -> FeatureMatrix:
+    """Replay the fitted stages; output lives in the final metric's space."""
+    _check_input_dim(model, features)
     current = features
     for stage in model.stages:
         current = _map_groups(stage, _shuffle(current.data, stage.permutation))
@@ -359,7 +363,9 @@ def cascade_distance(model: CascadeModel, x, y):
 
     ``x`` and ``y`` are either two vectors, giving one float, or two
     equal-shape ``(n, D)`` row blocks, giving ``n`` scores for the row pairs
-    ``(x[k], y[k])``. Both blocks go through the cascade in one pass.
+    ``(x[k], y[k])``. Both blocks go through the cascade in one pass. This
+    is the single-pair entry point; ``ecml.evaluate`` scores a pair set
+    through the same quadratic form.
     """
     single = np.ndim(x) == 1 and np.ndim(y) == 1
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -373,9 +379,20 @@ def cascade_distance(model: CascadeModel, x, y):
     stacked = np.vstack([x, y])
     stacked.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
     mapped = transform(model, FeatureMatrix(stacked)).data
-    d = mapped[:n] - mapped[n:]
-    scores = ((d @ model.final_metric.matrix) * d).sum(1)
+    scores = _quadratic_forms(mapped[:n] - mapped[n:], model.final_metric.matrix)
     return float(scores[0]) if single else scores
+
+
+def _quadratic_forms(d, m, prod=None, out=None):
+    """d[k]^T m d[k] for every row k of ``d``, computed as ``((d @ m) * d).sum(1)``.
+
+    ``prod`` (shaped like ``d``) and ``out`` (one entry per row) are
+    optional buffers for the product and the scores; given both, nothing is
+    allocated and the bits are those of the formula.
+    """
+    prod = np.matmul(d, m, out=prod)
+    prod *= d
+    return prod.sum(axis=1, out=out)
 
 
 # ---------------------------------------------------------------------------

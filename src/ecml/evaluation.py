@@ -10,20 +10,21 @@ above t, so a score exactly at the threshold penalizes neither side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import freeze_array
-from .cascade import CascadeModel, cascade_distance
+from ._linalg import freeze_array, row_blocks
+from .cascade import CascadeModel, _check_input_dim, _quadratic_forms, transform
 from .errors import ValidationError
 from .features import FeatureMatrix, PairSet, _parse_table, _read_rows, _write_lines
+from .metrics import SUB_ROWS, _differences
 
 DEFAULT_BINS = 100
-# Pairs per distance_fn call in score_pairs. A constant, because BLAS picks
-# its kernel by row count: a pair scored alone can differ in the last bit from
-# the same pair scored in a larger block.
+# Pairs per scored chunk (and per distance_fn call in score_pairs), and rows
+# per mapped block in evaluate. A constant, because BLAS picks its kernel by
+# row count: a pair scored alone can differ in the last bit from the same pair
+# scored in a larger block.
 SCORE_CHUNK = 256
 KL_SMOOTHING = 1e-10
 
@@ -112,9 +113,60 @@ def score_pairs(distance_fn, features: FeatureMatrix, pairs: PairSet) -> ScoredP
 
 def evaluate(model: CascadeModel, features: FeatureMatrix, pairs: PairSet,
              bins: int = DEFAULT_BINS) -> EvalReport:
-    """Score ``pairs`` with the cascade ``model`` and build the full report."""
-    scored = score_pairs(partial(cascade_distance, model), features, pairs)
-    return build_report(scored, bins=bins)
+    """Score ``pairs`` with the cascade ``model`` and build the full report.
+
+    Each row the pairs reference is mapped through the stages once, however
+    many pairs it appears in; a stage-free model scores the rows of
+    ``features`` as they are. The scores equal, bit for bit, those of
+    ``cascade_distance`` on ``SCORE_CHUNK``-pair row blocks.
+    """
+    pairs.check_against(features)
+    _check_input_dim(model, features)
+    if model.stages:
+        rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
+        x = _map_rows(model, features.data, rows)
+        first, second = inverse[: len(pairs)], inverse[len(pairs) :]
+    else:
+        x, first, second = features.data, pairs.i, pairs.j
+    scores = _score_chunks(x, first, second, model.final_metric.matrix)
+    return build_report(ScoredPairs(scores=scores, labels=pairs.y), bins=bins)
+
+
+def _map_rows(model: CascadeModel, x, rows):
+    """``x[rows]`` through the stages, in row blocks, as one read-only array.
+
+    Blocks hold ``SCORE_CHUNK`` rows, so beside the output the call holds
+    only one block's stage temporaries; ``row_blocks`` keeps each row's
+    bits independent of the block it lands in.
+    """
+    out = np.empty((rows.size, model.output_dim))
+    for start, stop in row_blocks(rows.size, SCORE_CHUNK):
+        block = x.take(rows[start:stop], axis=0)
+        block.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
+        out[start:stop] = transform(model, FeatureMatrix(block)).data
+    out.setflags(write=False)
+    return out
+
+
+def _score_chunks(x, first, second, m):
+    """Read-only d^T m d, d = x[first[k]] - x[second[k]], ``SCORE_CHUNK`` pairs at a time.
+
+    Each chunk's differences and product land in buffers allocated here
+    once, so the loop allocates no arrays. The indices must already have
+    been checked against ``x``.
+    """
+    n, width = first.size, x.shape[1]
+    scores = np.empty(n)
+    d = np.empty((min(n, SCORE_CHUNK), width))
+    prod = np.empty_like(d)
+    sub = np.empty((min(n, SUB_ROWS), width))
+    for start in range(0, n, SCORE_CHUNK):
+        chunk = slice(start, start + SCORE_CHUNK)
+        size = min(SCORE_CHUNK, n - start)
+        _differences(x, first[chunk], second[chunk], d[:size], sub)
+        _quadratic_forms(d[:size], m, prod[:size], scores[chunk])
+    scores.setflags(write=False)  # so that ScoredPairs keeps it uncopied
+    return scores
 
 
 def _operating_points(scored: ScoredPairs):

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import fix_column_signs, freeze_array
+from ._linalg import fix_column_signs, freeze_array, row_blocks
 from .errors import NumericalError, ValidationError
 
 FEATURE_MAGIC = b"CMF1"
@@ -414,24 +414,18 @@ def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
 def apply_pca(model: PcaModel, features: FeatureMatrix) -> FeatureMatrix:
     """Project rows onto the PCA basis: (x - mean) @ basis.
 
-    Rows are centered and projected ``PCA_ROWS`` at a time into one output
-    array, so beside it the call holds one centered block. The bits equal
-    those of one product over all rows, except that BLAS computes a 1-row
-    product as a matrix-vector product, which rounds differently; a 1-row
-    remainder is therefore projected with the block before it.
+    Rows are centered and projected in ``row_blocks`` of ``PCA_ROWS`` into
+    one output array, so beside it the call holds one centered block; the
+    bits equal those of one product over all rows.
     """
     if features.dim != model.input_dim:
         raise ValidationError(
             f"feature dim {features.dim} does not match PCA input dim {model.input_dim}"
         )
     x, n = features.data, features.count
-    starts = list(range(0, n, PCA_ROWS))
-    if n > 1 and n % PCA_ROWS == 1:
-        starts.pop()
-    bounds = [*starts, n]
     out = np.empty((n, model.k))
     centered = np.empty((min(n, PCA_ROWS + 1), features.dim))
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop in row_blocks(n, PCA_ROWS):
         block = centered[: stop - start]
         np.subtract(x[start:stop], model.mean, out=block)
         np.matmul(block, model.basis, out=out[start:stop])

@@ -25,6 +25,8 @@ DEFAULT_LAMBDA = 0.5
 # Pairs per difference block in accumulate_stats; fixed, because the
 # summation order it sets is part of the model bytes.
 STATS_CHUNK = 2048
+# Rows of the subtracted x[second] block that _differences gathers at a time
+SUB_ROWS = 64
 
 LEARNER_NAMES = ("rmml", "kissme", "genuine-baseline")
 
@@ -227,7 +229,7 @@ def _class_buffers(x, pairs, label):
     first, second = pairs.i[idx], pairs.j[idx]
     width = x.shape[1]
     gather = np.empty((min(idx.size, STATS_CHUNK), width))
-    sub = np.empty((min(idx.size, 64), width))
+    sub = np.empty((min(idx.size, SUB_ROWS), width))
     prod = np.empty((width, width)) if idx.size > STATS_CHUNK else None
     return first, second, gather, sub, np.empty((width, width)), prod
 
@@ -235,8 +237,8 @@ def _class_buffers(x, pairs, label):
 def _class_sum(x, first, second, gather, sub, total, prod):
     """Fill ``total`` with the sum of d d^T, d = x[first] - x[second], chunk by chunk in order.
 
-    The gathers clip out-of-range indices, so the indices must already have
-    been checked against ``x``. The first chunk's product is written straight
+    The indices must already have been checked against ``x`` (see
+    ``_differences``). The first chunk's product is written straight
     into ``total``, so its bits (signed zeros included) are those of
     ``d.T @ d``; later products go through ``prod`` and are added. Every
     intermediate lands in the given buffers, so the loop allocates no arrays.
@@ -244,17 +246,28 @@ def _class_sum(x, first, second, gather, sub, total, prod):
     for start in range(0, first.size, STATS_CHUNK):
         stop = min(start + STATS_CHUNK, first.size)
         d = gather[: stop - start]
-        x.take(first[start:stop], axis=0, out=d, mode="clip")
-        # the x[j] rows are subtracted 64 at a time, keeping their block small
-        for s in range(start, stop, 64):
-            rows = sub[: min(64, stop - s)]
-            x.take(second[s : s + len(rows)], axis=0, out=rows, mode="clip")
-            d[s - start : s - start + len(rows)] -= rows
+        _differences(x, first[start:stop], second[start:stop], d, sub)
         if start == 0:
             np.matmul(d.T, d, out=total)
         else:
             np.matmul(d.T, d, out=prod)
             total += prod
+
+
+def _differences(x, first, second, d, sub):
+    """Fill ``d`` with x[first] - x[second], allocating no arrays.
+
+    The x[second] rows are gathered into ``sub`` and subtracted
+    ``len(sub)`` at a time, keeping their block small. The gathers clip
+    out-of-range indices, so the indices must already have been checked
+    against ``x``.
+    """
+    x.take(first, axis=0, out=d, mode="clip")
+    step = sub.shape[0]
+    for s in range(0, first.size, step):
+        rows = sub[: min(step, first.size - s)]
+        x.take(second[s : s + step], axis=0, out=rows, mode="clip")
+        d[s : s + step] -= rows
 
 
 def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel:

@@ -464,6 +464,29 @@ class TestEval:
         )
         assert code == 2 and "bins must be >= 1" in err
 
+    @pytest.mark.parametrize(
+        "stages", [[], ["--cascade", "--stages", "1"]], ids=["plain", "cascade"]
+    )
+    def test_wrong_feature_width_exit_code(self, tmp_path, capsys, stages):
+        f, l, p = tmp_path / "f.csv", tmp_path / "l.csv", tmp_path / "p.csv"
+        run(
+            capsys,
+            "synth", "--ids", "6", "--samples-per-id", "8", "--dim", "8",
+            "--seed", "2", "--count", "200",
+            "--features", str(f), "--labels", str(l), "--pairs", str(p),
+        )
+        run(capsys, "fit", "--features", str(f), "--pairs", str(p),
+            "--model", str(tmp_path / "m.ecml"), *stages)
+        data = ecml.load_features(f).data
+        ecml.save_features(ecml.FeatureMatrix(np.hstack([data, data[:, :1]])), tmp_path / "w.csv")
+        code, _, err = run(
+            capsys,
+            "eval", "--model", str(tmp_path / "m.ecml"),
+            "--features", str(tmp_path / "w.csv"), "--pairs", str(p),
+        )
+        assert code == 2
+        assert err.splitlines()[-1] == "error: feature dim 9 does not match model input dim 8"
+
     def test_corrupt_model_exit_code(self, workspace, capsys):
         bad = workspace / "bad.ecml"
         bad.write_bytes(b"not a model")

@@ -1,6 +1,7 @@
 """Tests for pair scoring, EER, KL divergence, and report persistence."""
 
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -72,6 +73,159 @@ class TestScorePairs:
         np.testing.assert_allclose(first, single, rtol=1e-12, atol=0.0)
         with pytest.raises(ValidationError):
             ecml.cascade_distance(model, x[:3], x[:2])
+
+
+def reference_scores(model, x, i, j):
+    """Pair scores as ``score_pairs(partial(cascade_distance, model), ...)`` gave
+    them: per ``SCORE_CHUNK`` pairs, both row blocks stacked and transformed
+    together, then ``((d @ M) * d).sum(1)``."""
+    i, j = np.asarray(i), np.asarray(j)
+    out = []
+    for start in range(0, i.size, SCORE_CHUNK):
+        a, b = i[start : start + SCORE_CHUNK], j[start : start + SCORE_CHUNK]
+        mapped = ecml.transform(model, ecml.FeatureMatrix(np.vstack([x[a], x[b]]))).data
+        d = mapped[: a.size] - mapped[a.size :]
+        out.append(((d @ model.final_metric.matrix) * d).sum(1))
+    return np.concatenate(out)
+
+
+def evaluated_scores(model, features, pairs, monkeypatch):
+    """The per-pair scores that ``ecml.evaluate`` builds its report from."""
+    seen = []
+    build = ecml.evaluation.build_report
+
+    def capture(scored, bins):
+        seen.append(scored)
+        return build(scored, bins=bins)
+
+    monkeypatch.setattr(ecml.evaluation, "build_report", capture)
+    ecml.evaluate(model, features, pairs)
+    (scored,) = seen
+    assert np.array_equal(scored.labels, pairs.y)
+    return scored.scores
+
+
+def chain_pairs(labels, rows):
+    """Pairs (rows[k], rows[k + 1]), wrapping around, labelled by identity;
+    together they reference exactly ``rows``."""
+    i, j = rows, np.roll(rows, -1)
+    return ecml.PairSet(i, j, (labels[i] == labels[j]).astype(int))
+
+
+@pytest.fixture(scope="module")
+def cascade_problem():
+    feats, labels, pairs = clustered_problem(
+        seed=31, ids=30, spp=12, dim=12, count=2 * SCORE_CHUNK + 37
+    )
+    model = ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=3)
+    return feats, labels, pairs, model
+
+
+def _smallest(feats, labels, pairs, model):
+    first_pos, first_neg = np.argmax(pairs.y == 1), np.argmax(pairs.y == 0)
+    keep = [first_pos, first_neg]
+    return model, feats, ecml.PairSet(pairs.i[keep], pairs.j[keep], pairs.y[keep])
+
+
+def _last_chunk_of_one(feats, labels, pairs, model):
+    # every other pair, so that both classes are drawn
+    keep = np.arange(0, len(pairs), 2)[: SCORE_CHUNK + 1]
+    return model, feats, ecml.PairSet(pairs.i[keep], pairs.j[keep], pairs.y[keep])
+
+
+def _rows_one_past_block(feats, labels, pairs, model):
+    return model, feats, chain_pairs(labels, np.arange(SCORE_CHUNK + 1) + 40)
+
+
+def _two_chunks_and_37(feats, labels, pairs, model):
+    return model, feats, pairs
+
+
+def _stage_free(feats, labels, pairs, model):
+    return ecml.fit_cascade(feats, pairs, 0, ecml.make_learner("rmml", 0.1), 0), feats, pairs
+
+
+def _pca_row_subset(feats, labels, pairs, model):
+    reduced = ecml.apply_pca(ecml.fit_pca(feats, 8), feats)
+    fitted = ecml.fit_cascade(reduced, pairs, 1, ecml.make_learner("rmml", 0.1), seed=5)
+    # the even rows only, in 300 pairs: some rows are left out of the mapping
+    even = ecml.sample_pairs(labels[::2], 300, 0.5, seed=8)
+    return fitted, reduced, ecml.PairSet(2 * even.i, 2 * even.j, even.y)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("case", [
+        _smallest, _last_chunk_of_one, _rows_one_past_block, _two_chunks_and_37,
+        _stage_free, _pca_row_subset,
+    ], ids=lambda case: case.__name__.strip("_"))
+    def test_scores_bit_identical_to_stacked_chunks(self, cascade_problem, monkeypatch, case):
+        model, features, pairs = case(*cascade_problem)
+        got = evaluated_scores(model, features, pairs, monkeypatch)
+        want = reference_scores(model, features.data, pairs.i, pairs.j)
+        assert got.tobytes() == want.tobytes()
+
+    def test_case_shapes(self, cascade_problem):
+        # the cases above reach the block edges they are named for
+        _, _, pairs = _rows_one_past_block(*cascade_problem)
+        assert np.unique(np.concatenate([pairs.i, pairs.j])).size % SCORE_CHUNK == 1
+        _, _, pairs = _last_chunk_of_one(*cascade_problem)
+        assert len(pairs) % SCORE_CHUNK == 1
+        _, features, pairs = _pca_row_subset(*cascade_problem)
+        assert np.unique(np.concatenate([pairs.i, pairs.j])).size < features.count
+
+    def test_lone_pair_matches_reference(self, cascade_problem):
+        feats, _, pairs, model = cascade_problem
+        x, a, b = feats.data, int(pairs.i[0]), int(pairs.j[0])
+        want = reference_scores(model, x, [a], [b])
+        assert ecml.cascade_distance(model, x[a], x[b]) == want[0]
+
+    @pytest.mark.parametrize("stages", [0, 1])
+    def test_wrong_feature_width_rejected(self, stages):
+        feats, _, pairs = clustered_problem(seed=5, dim=8)
+        model = ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=0)
+        wide = ecml.FeatureMatrix(np.hstack([feats.data, feats.data[:, :1]]))
+        with pytest.raises(ValidationError) as info:
+            ecml.evaluate(model, wide, pairs)
+        assert str(info.value) == "feature dim 9 does not match model input dim 8"
+
+    @pytest.mark.parametrize("stages", [0, 2])
+    def test_peak_is_mapped_rows_plus_chunk_buffers(self, rng, stages):
+        dim, rows, count = 512, 800, 2000
+
+        def stage(groups):
+            g = dim // groups
+            projections = tuple(ecml.Projection(rng.normal(size=(g, g)) / g, 0)
+                                for _ in range(groups))
+            return ecml.StageModel(rng.permutation(dim), projections)
+
+        model = ecml.CascadeModel(
+            tuple(stage(2 ** (stages - s)) for s in range(stages)),
+            ecml.MetricModel(np.eye(dim), "rmml", 0.1, 1.0), dim, 0,
+        )
+        feats = ecml.FeatureMatrix(rng.normal(size=(1000, dim)))
+        i = rng.integers(0, rows, size=count)
+        j = (i + rng.integers(1, rows, size=count)) % rows
+        y = np.arange(count) % 2
+
+        def peak(repeats):
+            pairs = ecml.PairSet(np.tile(i, repeats), np.tile(j, repeats), np.tile(y, repeats))
+            tracemalloc.start()
+            try:
+                ecml.evaluate(model, feats, pairs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        used = np.unique(np.concatenate([i, j])).size
+        mapped = used * dim * 8 if stages else 0
+        # a mapped block's input, the previous stage's output, its shuffled
+        # successor and the group block; or a chunk's differences and product
+        chunk_buffers = 4 * SCORE_CHUNK * dim * 8
+        base = peak(1)
+        assert base <= mapped + chunk_buffers + 2**20
+        # ten times the pairs over the same rows add only per-pair arrays:
+        # the gathered, unique and inverse indices and the scores
+        assert peak(10) - base <= 9 * count * 5 * 8
 
 
 class TestComputeEer:
