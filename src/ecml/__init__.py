@@ -41,6 +41,7 @@ from .evaluation import (
     score_pairs,
 )
 from .features import (
+    FeatureFile,
     FeatureMatrix,
     PairSet,
     PcaModel,

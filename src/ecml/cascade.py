@@ -452,7 +452,13 @@ def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
 
 
 def load_model(path):
-    """Load a model file; returns (CascadeModel, PcaModel or None)."""
+    """Load a model file; returns (CascadeModel, PcaModel or None).
+
+    Each array is read from the open file into its own aligned buffer, and
+    the file is closed on every path. Beyond the model's arrays the call
+    holds the largest check temporary: one bool per final-metric entry, or
+    the k x k gram of the PCA orthonormality check.
+    """
     try:
         with open(path, "rb") as fh:
             return _read_model(_BinaryReader(fh, path, "model"))

@@ -197,12 +197,6 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _score_model(model_path, matrix, pairs, bins):
-    model, pca = casc.load_model(model_path)
-    data = feat.apply_pca(pca, matrix) if pca is not None else matrix
-    return ev.evaluate(model, data, pairs, bins=bins)
-
-
 def cmd_eval(args):
     # a config file may give one model path as a plain string
     model_paths = [args.model] if isinstance(args.model, str) else args.model
@@ -211,12 +205,17 @@ def cmd_eval(args):
     _require(args, "features", "pairs")
     ev._check_bins(args.bins)
     with _phase("load"):
-        matrix = feat.load_features(args.features, args.fmt)
+        # a raw-binary file is only opened here; each model reads its rows anew
+        if args.fmt == "raw-binary":
+            features = feat.FeatureFile(args.features)
+        else:
+            features = feat.load_features(args.features, args.fmt)
         pairs = feat.load_pairs(args.pairs)
     reports = []
     with _phase("score"):
         for path in model_paths:
-            reports.append((path, _score_model(path, matrix, pairs, args.bins)))
+            model, pca = casc.load_model(path)
+            reports.append((path, ev.evaluate(model, features, pairs, args.bins, pca=pca)))
     if len(reports) == 1:
         lines = ev.report_lines(reports[0][1])
     else:

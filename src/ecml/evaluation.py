@@ -17,7 +17,17 @@ import numpy as np
 from ._linalg import freeze_array, row_blocks
 from .cascade import CascadeModel, _check_input_dim, _quadratic_forms, transform
 from .errors import ValidationError
-from .features import FeatureMatrix, PairSet, _parse_table, _read_rows, _write_lines
+from .features import (
+    FeatureFile,
+    FeatureMatrix,
+    PairSet,
+    PcaModel,
+    _check_pca_input,
+    _parse_table,
+    _project,
+    _read_rows,
+    _write_lines,
+)
 from .metrics import SUB_ROWS, _differences
 
 DEFAULT_BINS = 100
@@ -111,20 +121,26 @@ def score_pairs(distance_fn, features: FeatureMatrix, pairs: PairSet) -> ScoredP
     return ScoredPairs(scores=scores, labels=np.asarray(pairs.y))
 
 
-def evaluate(model: CascadeModel, features: FeatureMatrix, pairs: PairSet,
-             bins: int = DEFAULT_BINS) -> EvalReport:
+def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: PairSet,
+             bins: int = DEFAULT_BINS, pca: PcaModel | None = None) -> EvalReport:
     """Score ``pairs`` with the cascade ``model`` and build the full report.
 
-    Each row the pairs reference is mapped through the stages once, however
-    many pairs it appears in; a stage-free model scores the rows of
-    ``features`` as they are. The scores equal, bit for bit, those of
-    ``cascade_distance`` on ``SCORE_CHUNK``-pair row blocks.
+    ``features`` is a ``FeatureMatrix`` or a ``FeatureFile``, and ``pca``
+    the model's PCA front end, if it has one. Only the rows the pairs
+    reference are read and mapped, each once, however many pairs it
+    appears in: through ``pca``, then the stages. A ``FeatureMatrix``
+    scored by a model with neither is scored as it is. The scores equal,
+    bit for bit, those of ``cascade_distance`` on ``SCORE_CHUNK``-pair row
+    blocks of the projected features.
     """
+    if pca is not None:
+        _check_pca_input(pca, features.dim)
     pairs.check_against(features)
-    _check_input_dim(model, features)
-    if model.stages:
+    if pca is None:
+        _check_input_dim(model, features)
+    if model.stages or pca is not None or not isinstance(features, FeatureMatrix):
         rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
-        x = _map_rows(model, features.data, rows)
+        x = _map_rows(model, pca, features.gather(rows, SCORE_CHUNK), rows.size)
         first, second = inverse[: len(pairs)], inverse[len(pairs) :]
     else:
         x, first, second = features.data, pairs.i, pairs.j
@@ -132,16 +148,21 @@ def evaluate(model: CascadeModel, features: FeatureMatrix, pairs: PairSet,
     return build_report(ScoredPairs(scores=scores, labels=pairs.y), bins=bins)
 
 
-def _map_rows(model: CascadeModel, x, rows):
-    """``x[rows]`` through the stages, in row blocks, as one read-only array.
+def _map_rows(model: CascadeModel, pca, blocks, count):
+    """``count`` gathered rows through ``pca`` (or None) and the stages, as one read-only array.
 
-    Blocks hold ``SCORE_CHUNK`` rows, so beside the output the call holds
-    only one block's stage temporaries; ``row_blocks`` keeps each row's
-    bits independent of the block it lands in.
+    ``blocks`` yields ``(start, stop, rows)`` for each of
+    ``row_blocks(count, SCORE_CHUNK)``, as ``gather`` does; ``pca`` centers
+    them in place. Beside the output the call holds one projected block
+    and one block's stage temporaries; ``row_blocks`` keeps each row's bits
+    independent of the block it lands in.
     """
-    out = np.empty((rows.size, model.output_dim))
-    for start, stop in row_blocks(rows.size, SCORE_CHUNK):
-        block = x.take(rows[start:stop], axis=0)
+    out = np.empty((count, model.output_dim))
+    projected = None if pca is None else np.empty((min(count, SCORE_CHUNK + 1), pca.k))
+    for start, stop, block in blocks:
+        if pca is not None:
+            block = _project(pca, block, block, projected[: stop - start])
+        block = block.view()
         block.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
         out[start:stop] = transform(model, FeatureMatrix(block)).data
     out.setflags(write=False)

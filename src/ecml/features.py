@@ -24,6 +24,7 @@ import math
 import os
 import re
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +68,21 @@ class FeatureMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
+
+    def gather(self, rows, size):
+        """Yield ``(start, stop, data[rows[start:stop]])`` for each of ``row_blocks(rows.size, size)``.
+
+        ``rows`` must lie below ``count``. The blocks are copied into one
+        reused buffer, which the caller may overwrite and must be done with
+        before asking for the next block.
+        """
+        bounds = row_blocks(rows.size, size)
+        buf = np.empty((max(stop - start for start, stop in bounds), self.dim))
+        for start, stop in bounds:
+            block = buf[: stop - start]
+            # "clip" takes straight into ``out``, unbuffered; no index needs clipping
+            self.data.take(rows[start:stop], axis=0, out=block, mode="clip")
+            yield start, stop, block
 
 
 @dataclass(frozen=True)
@@ -321,22 +337,28 @@ class _BinaryReader:
     def unpack(self, fmt, what):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
+    def fill(self, arr, what):
+        """Read the next ``arr.nbytes`` bytes of the file into the C-contiguous ``arr``."""
+        self._advance(arr.nbytes, what)
+        if self.fh.readinto(arr) != arr.nbytes:
+            raise self._shrank()
+        return arr
+
     def array(self, shape, dtype, what):
         """A read-only array of ``shape`` and the little-endian ``dtype``, read from the file."""
         dtype = np.dtype(dtype)
-        self._advance(math.prod(shape) * dtype.itemsize, what)  # before allocating
-        arr = np.empty(shape, dtype=dtype)
-        if self.fh.readinto(arr) != arr.nbytes:
-            raise self._shrank()
+        self.need(math.prod(shape) * dtype.itemsize, what)  # before allocating
+        arr = self.fill(np.empty(shape, dtype=dtype), what)
         arr.setflags(write=False)
         return arr
 
 
-def _load_binary(path) -> FeatureMatrix:
-    """Read the payload straight into a fresh, aligned array.
+@contextmanager
+def _open_binary(path):
+    """The raw-binary feature file at ``path``, open, as ``(reader, N, D)``.
 
-    A view into the file's bytes would start at byte 20, which is not 8-byte
-    aligned, and numpy runs its slower unaligned loops on such an array.
+    The header is checked first: the magic, the file size against N x D,
+    and N, D >= 1; the reader is then at the first payload byte.
     """
     try:
         with open(path, "rb") as fh:
@@ -352,10 +374,69 @@ def _load_binary(path) -> FeatureMatrix:
                 )
             if n < 1 or d < 1:
                 raise ValidationError(f"{path}: header declares empty matrix {n}x{d}")
-            data = cur.array((n, d), "<f8", "features")
+            yield cur, n, d
     except OSError as exc:
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
+
+
+def _load_binary(path) -> FeatureMatrix:
+    """Read the payload straight into a fresh, aligned array.
+
+    A view into the file's bytes would start at byte 20, which is not 8-byte
+    aligned, and numpy runs its slower unaligned loops on such an array.
+    """
+    with _open_binary(path) as (cur, n, d):
+        data = cur.array((n, d), "<f8", "features")
     return FeatureMatrix(data)
+
+
+class FeatureFile:
+    """A raw-binary feature file whose header has been checked; its rows are read on demand.
+
+    Like a ``FeatureMatrix`` it has ``count``, ``dim`` and ``gather``, so
+    ``ecml.evaluate`` takes either, but it holds no rows: each ``gather``
+    reads the file again, front to back.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        with _open_binary(path) as (_, n, d):
+            self.count, self.dim = n, d
+
+    def gather(self, rows, size):
+        """Yield ``(start, stop, the file's rows[start:stop])`` for each of ``row_blocks(rows.size, size)``.
+
+        ``rows`` must be ascending, unique and below ``count``. The file is
+        read front to back ``size`` rows at a time through one buffer, and
+        every row read is checked finite, whether ``rows`` holds it or not;
+        the message names the row in the file. The referenced rows are
+        copied into one reused block buffer, which the caller may overwrite
+        and must be done with before asking for the next block.
+        """
+        bounds = row_blocks(rows.size, size)
+        with _open_binary(self.path) as (cur, n, d):
+            if (n, d) != (self.count, self.dim):
+                raise ValidationError(f"{self.path}: feature file changed while being read")
+            read = np.empty((min(n, size), d), dtype="<f8")
+            block = np.empty((max(stop - start for start, stop in bounds), d))
+            k, b = 0, 0  # next entry of rows to copy, and the block it belongs to
+            for first in range(0, n, size):
+                chunk = cur.fill(read[: min(size, n - first)], "features")
+                bad = _first_nonfinite(chunk)
+                if bad is not None:
+                    raise ValidationError(
+                        f"non-finite feature value at row {first + bad[0]}, column {bad[1]}"
+                    )
+                end = int(np.searchsorted(rows, first + chunk.shape[0]))  # rows[k:end] are here
+                while k < end:
+                    start, stop = bounds[b]
+                    upto = min(end, stop)
+                    chunk.take(rows[k:upto] - first, axis=0, out=block[k - start : upto - start],
+                               mode="clip")  # as in FeatureMatrix.gather
+                    k = upto
+                    if k == stop:
+                        yield start, stop, block[: stop - start]
+                        b += 1
 
 
 def save_pairs(pairs: PairSet, path) -> None:
@@ -384,7 +465,9 @@ def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
     """Fit a centered (not whitened) PCA onto the top-k covariance eigenvectors.
 
     Eigenvalues are taken in non-increasing order; eigenvector signs are
-    pinned for reproducibility.
+    pinned for reproducibility. The N x D centered copy is freed, and the
+    covariance scaled in place, before ``eigh`` allocates its own workspace,
+    which then sets the call's peak memory.
     """
     n, d = features.count, features.dim
     kmax = min(n - 1, d)
@@ -395,8 +478,6 @@ def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
     mean = features.data.mean(axis=0)
     centered = features.data - mean
     cov = centered.T @ centered
-    # the N x D centered copy is freed, and the covariance scaled in place,
-    # before eigh allocates its own workspace
     del centered
     cov /= n - 1
     try:
@@ -418,19 +499,30 @@ def apply_pca(model: PcaModel, features: FeatureMatrix) -> FeatureMatrix:
     one output array, so beside it the call holds one centered block; the
     bits equal those of one product over all rows.
     """
-    if features.dim != model.input_dim:
-        raise ValidationError(
-            f"feature dim {features.dim} does not match PCA input dim {model.input_dim}"
-        )
+    _check_pca_input(model, features.dim)
     x, n = features.data, features.count
     out = np.empty((n, model.k))
     centered = np.empty((min(n, PCA_ROWS + 1), features.dim))
     for start, stop in row_blocks(n, PCA_ROWS):
-        block = centered[: stop - start]
-        np.subtract(x[start:stop], model.mean, out=block)
-        np.matmul(block, model.basis, out=out[start:stop])
+        _project(model, x[start:stop], centered[: stop - start], out[start:stop])
     out.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
     return FeatureMatrix(out)
+
+
+def _check_pca_input(model: PcaModel, dim):
+    if dim != model.input_dim:
+        raise ValidationError(f"feature dim {dim} does not match PCA input dim {model.input_dim}")
+
+
+def _project(model: PcaModel, x, centered, out):
+    """``(x - mean) @ basis`` of the rows of ``x`` into ``out``, returned.
+
+    The rows are centered into ``centered``, which may be ``x`` itself. A
+    row's bits do not depend on the other rows of the block, as long as the
+    block has more than one row (see ``row_blocks``).
+    """
+    np.subtract(x, model.mean, out=centered)
+    return np.matmul(centered, model.basis, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ import pytest
 import ecml
 from ecml import cli
 
+from test_evaluation import reference_scores
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -454,15 +456,17 @@ class TestEval:
 
     def test_bad_bins_rejected_before_loading(self, workspace, capsys, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("features loaded before --bins was checked")
+            raise AssertionError("an input was read before --bins was checked")
 
-        monkeypatch.setattr(ecml.cli.feat, "load_features", never)
-        code, _, err = run(
-            capsys,
-            "eval", "--model", str(workspace / "m.ecml"), "--bins", "0",
-            "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
-        )
-        assert code == 2 and "bins must be >= 1" in err
+        for reader in ("load_features", "load_pairs", "FeatureFile"):
+            monkeypatch.setattr(ecml.cli.feat, reader, never)
+        for fmt in ("csv", "raw-binary"):
+            code, _, err = run(
+                capsys,
+                "eval", "--model", str(workspace / "m.ecml"), "--bins", "0", "--format", fmt,
+                "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
+            )
+            assert code == 2 and "bins must be >= 1" in err
 
     @pytest.mark.parametrize(
         "stages", [[], ["--cascade", "--stages", "1"]], ids=["plain", "cascade"]
@@ -557,6 +561,148 @@ class TestEval:
             f"error: {path}: truncated model file: need {56 + 4 * (2**32 - 1)} bytes "
             f"through stage 0 groups, file has 56"
         )
+
+
+@pytest.fixture(scope="module")
+def streamed(tmp_path_factory):
+    """One data set as raw-binary and CSV features, held-out pairs and three fitted models."""
+    work = tmp_path_factory.mktemp("streamed")
+    f, l, p = work / "f.bin", work / "l.csv", work / "train.csv"
+    assert cli.main([
+        "synth", "--ids", "30", "--samples-per-id", "12", "--dim", "16",
+        "--inter-spread", "1.0", "--seed", "7", "--count", "600", "--format", "raw-binary",
+        "--features", str(f), "--labels", str(l), "--pairs", str(p),
+    ]) == 0
+    feats = ecml.load_features(f, "raw-binary")
+    ecml.save_features(feats, work / "f.csv")
+    assert cli.main(["pairs", "--labels", str(l), "--count", "400", "--seed", "8",
+                     "--pairs", str(work / "p.csv")]) == 0
+    # 257 referenced rows, one past a block of SCORE_CHUNK
+    labels = ecml.load_labels(l)
+    rows = np.arange(257) + 50
+    ecml.save_pairs(ecml.PairSet(rows, np.roll(rows, -1), labels[rows] == labels[np.roll(rows, -1)]),
+                    work / "p257.csv")
+    for name, flags in {
+        "plain": [],
+        "kissme-pca": ["--learner", "kissme", "--pca-dim", "8"],
+        "cascade-pca": ["--cascade", "--stages", "1", "--pca-dim", "8"],
+    }.items():
+        assert cli.main(["fit", "--features", str(work / "f.csv"), "--pairs", str(p),
+                         "--model", str(work / f"{name}.ecml"), *flags]) == 0
+    return work
+
+
+def _reference_report(work, model_name, pairs_name):
+    """The report of the whole matrix, projected through PCA, scored by ``reference_scores``."""
+    model, pca = ecml.load_model(work / f"{model_name}.ecml")
+    feats = ecml.load_features(work / "f.csv")
+    x = (ecml.apply_pca(pca, feats) if pca is not None else feats).data
+    pairs = ecml.load_pairs(work / pairs_name)
+    scores = reference_scores(model, x, pairs.i, pairs.j)
+    return ecml.build_report(ecml.ScoredPairs(scores, pairs.y))
+
+
+class TestRawBinaryEval:
+    """``eval --format raw-binary`` reads only the rows the pairs reference, as it streams the file."""
+
+    def eval(self, capsys, work, features, pairs, *models, fmt="raw-binary", report=None):
+        argv = ["eval", "--model", *(str(work / f"{m}.ecml") for m in models),
+                "--features", str(work / features), "--pairs", str(work / pairs), "--format", fmt]
+        if report is not None:
+            argv += ["--report", str(work / report)]
+        return run(capsys, *argv)
+
+    @pytest.mark.parametrize("model, pairs", [
+        ("plain", "p.csv"),
+        ("kissme-pca", "p.csv"),
+        ("cascade-pca", "p.csv"),
+        ("cascade-pca", "p257.csv"),
+    ], ids=["stage-free", "pca-kissme", "pca-cascade", "rows-one-past-block"])
+    def test_report_bytes_match_csv_and_whole_matrix(self, streamed, capsys, model, pairs):
+        tag = f"{model}-{pairs}"
+        for fmt, features in (("raw-binary", "f.bin"), ("csv", "f.csv")):
+            code, _, _ = self.eval(capsys, streamed, features, pairs, model, fmt=fmt,
+                                   report=f"{tag}-{fmt}.txt")
+            assert code == 0
+        ecml.save_report(_reference_report(streamed, model, pairs), streamed / f"{tag}-ref.txt",
+                         roc_path=streamed / f"{tag}-ref.txt.roc.csv")
+        for suffix in ("", ".roc.csv"):
+            want = (streamed / f"{tag}-ref.txt{suffix}").read_bytes()
+            for fmt in ("raw-binary", "csv"):
+                assert (streamed / f"{tag}-{fmt}.txt{suffix}").read_bytes() == want
+
+    def test_rows_one_past_block(self, streamed):
+        pairs = ecml.load_pairs(streamed / "p257.csv")
+        assert np.unique(np.concatenate([pairs.i, pairs.j])).size == 257
+
+    def test_three_models(self, streamed, capsys):
+        models = ("plain", "kissme-pca", "cascade-pca")
+        outs = []
+        for fmt, features in (("raw-binary", "f.bin"), ("csv", "f.csv")):
+            code, out, _ = self.eval(capsys, streamed, features, "p.csv", *models, fmt=fmt,
+                                     report=f"three-{fmt}.txt")
+            assert code == 0
+            outs.append((out, (streamed / f"three-{fmt}.txt").read_text()))
+        refs = [_reference_report(streamed, m, "p.csv") for m in models]
+        eers = np.asarray([r.eer for r in refs])
+        want = []
+        for k, (m, r) in enumerate(zip(models, refs)):
+            want += [f"model_{k}_path={streamed / m}.ecml", f"model_{k}_eer={r.eer!r}",
+                     f"model_{k}_kl={r.kl_pos_neg!r}"]
+        want += [f"eer_mean={float(eers.mean())!r}", f"eer_std={float(eers.std(ddof=1))!r}"]
+        want = "\n".join(want) + "\n"
+        assert outs == [(want, want), (want, want)]
+
+    @staticmethod
+    def write_raw(path, data):
+        # written by hand: save_features refuses non-finite values
+        path.write_bytes(b"CMF1" + struct.pack("<QQ", *data.shape) + data.astype("<f8").tobytes())
+
+    @pytest.mark.parametrize("fault", [
+        "nan-unreferenced", "truncated", "bad-magic", "pair-out-of-range", "width-pca",
+        "width-model",
+    ])
+    def test_faults_exit_2_with_message(self, streamed, capsys, fault):
+        blob = (streamed / "f.bin").read_bytes()
+        data = ecml.load_features(streamed / "f.bin", "raw-binary").data.copy()
+        bad, pairs, model = streamed / f"{fault}.bin", "p.csv", "cascade-pca"
+        if fault == "nan-unreferenced":
+            held = ecml.load_pairs(streamed / "p.csv")
+            row = int(np.setdiff1d(np.arange(data.shape[0]), np.r_[held.i, held.j])[-1])
+            data[row, 5] = np.nan
+            self.write_raw(bad, data)
+            message = f"non-finite feature value at row {row}, column 5"
+        elif fault == "truncated":
+            bad.write_bytes(blob[:-5])
+            message = f"{bad}: expected {len(blob)} bytes for 360x16 features, found {len(blob) - 5}"
+        elif fault == "bad-magic":
+            bad.write_bytes(b"NOPE" + blob[4:])
+            message = f"{bad}: bad magic b'NOPE', expected b'CMF1'"
+        elif fault == "pair-out-of-range":
+            bad.write_bytes(blob)
+            pairs = "p-out.csv"
+            text = (streamed / "p.csv").read_text()
+            (streamed / pairs).write_text(text + "3,360,0\n")
+            message = "pair index 360 out of range for 360 samples"
+        else:
+            self.write_raw(bad, np.hstack([data, data[:, :1]]))
+            if fault == "width-pca":
+                message = "feature dim 17 does not match PCA input dim 16"
+            else:
+                model = "plain"
+                message = "feature dim 17 does not match model input dim 16"
+        code, _, err = self.eval(capsys, streamed, bad.name, pairs, model)
+        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
+
+    def test_pair_range_reported_before_a_non_finite_value(self, streamed, capsys):
+        # the range is checked against the header; values only as rows are read
+        data = ecml.load_features(streamed / "f.bin", "raw-binary").data.copy()
+        data[0, 0] = np.inf
+        self.write_raw(streamed / "inf.bin", data)
+        (streamed / "p-far.csv").write_text((streamed / "p.csv").read_text() + "3,400,0\n")
+        code, _, err = self.eval(capsys, streamed, "inf.bin", "p-far.csv", "plain")
+        assert code == 2
+        assert err.splitlines()[-1] == "error: pair index 400 out of range for 360 samples"
 
 
 class TestTransform:

@@ -227,6 +227,46 @@ class TestEvaluate:
         # the gathered, unique and inverse indices and the scores
         assert peak(10) - base <= 9 * count * 5 * 8
 
+    def test_streamed_peak_ignores_unreferenced_rows(self, rng, tmp_path):
+        dim, k, rows, count = 256, 128, 300, 1000
+        basis, _ = np.linalg.qr(rng.normal(size=(dim, k)))
+        pca = ecml.PcaModel(rng.normal(size=dim), basis)
+
+        def stage(groups):
+            g = k // groups
+            projections = tuple(ecml.Projection(rng.normal(size=(g, g)) / g, 0)
+                                for _ in range(groups))
+            return ecml.StageModel(rng.permutation(k), projections)
+
+        model = ecml.CascadeModel(
+            (stage(4), stage(2)), ecml.MetricModel(np.eye(k), "rmml", 0.1, 1.0), k, 0
+        )
+        data = rng.normal(size=(5 * rows, dim))
+        i = rng.integers(0, rows, size=count)
+        j = (i + rng.integers(1, rows, size=count)) % rows
+        pairs = ecml.PairSet(i, j, np.arange(count) % 2)
+
+        def peak(n):
+            path = tmp_path / f"f{n}.bin"
+            ecml.save_features(ecml.FeatureMatrix(data[:n]), path, "raw-binary")
+            source = ecml.FeatureFile(path)
+            tracemalloc.start()
+            try:
+                ecml.evaluate(model, source, pairs, pca=pca)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        used = np.unique(np.concatenate([i, j])).size
+        # the read buffer, the gathered block, the projected block and the
+        # stage temporaries of one mapped block, each at most 257 rows
+        blocks = 5 * (SCORE_CHUNK + 1) * dim * 8
+        base = peak(rows)
+        assert base <= used * k * 8 + blocks + 2**20
+        # four times as many rows that no pair references (3 MB more file)
+        # are read, not kept: the peak moves by a few Python objects at most
+        assert abs(peak(5 * rows) - base) <= 2**12
+
 
 class TestComputeEer:
     def test_perfect_separation(self):

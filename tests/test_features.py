@@ -123,6 +123,36 @@ class TestBinaryFormat:
         with pytest.raises(ValidationError, match="unknown feature format"):
             ecml.load_features(tmp_path / "x", "parquet")
 
+    def test_file_changed_between_header_and_read(self, tmp_path, rng):
+        path = tmp_path / "f.bin"
+        ecml.save_features(ecml.FeatureMatrix(rng.normal(size=(6, 3))), path, "raw-binary")
+        source = ecml.FeatureFile(path)
+        ecml.save_features(ecml.FeatureMatrix(rng.normal(size=(3, 6))), path, "raw-binary")
+        with pytest.raises(ValidationError, match="feature file changed while being read"):
+            list(source.gather(np.arange(2), 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 23),
+    size=st.integers(1, 6),
+)
+def test_file_gather_matches_matrix_gather(tmp_path_factory, data, n, size):
+    # blocks of `size` referenced rows, read `size` file rows at a time: a
+    # block may span several reads, and a read may fill several blocks
+    rows = np.asarray(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    m = ecml.FeatureMatrix(np.random.default_rng(n).normal(size=(n, 3)))
+    path = tmp_path_factory.mktemp("gather") / "f.bin"
+    ecml.save_features(m, path, "raw-binary")
+    source = ecml.FeatureFile(path)
+    assert (source.count, source.dim) == (n, 3)
+    want = [(a, b, block.copy()) for a, b, block in m.gather(rows, size)]
+    got = [(a, b, block.copy()) for a, b, block in source.gather(rows, size)]
+    assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+    for (a, b, g), (_, _, w) in zip(got, want):
+        assert g.tobytes() == m.data[rows[a:b]].tobytes() == w.tobytes()
+
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), fmt=st.sampled_from(["csv", "raw-binary"]))
