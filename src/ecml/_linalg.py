@@ -27,10 +27,27 @@ def row_blocks(n, size):
     return list(zip(bounds, bounds[1:]))
 
 
+# Side of the square tiles is_symmetric compares; a tile and its mirror stay in cache
+SYMMETRY_TILE = 128
+
+
 def is_symmetric(m):
-    """True when the float64 matrix ``m`` equals its transpose bit for bit."""
+    """True when the float64 matrix ``m`` equals its transpose bit for bit.
+
+    Each tile on or above the diagonal is compared with the transpose of its
+    mirror below it, so the comparison's temporary is one tile, not w x w,
+    and it stops at the first tile that differs.
+    """
     bits = m.view(np.uint64)
-    return np.array_equal(bits, bits.T)
+    w = bits.shape[0]
+    if bits.shape != (w, w):
+        return False
+    t = SYMMETRY_TILE
+    return all(
+        np.array_equal(bits[i : i + t, j : j + t], bits[j : j + t, i : i + t].T)
+        for i in range(0, w, t)
+        for j in range(i, w, t)
+    )
 
 
 def symmetrize(m):

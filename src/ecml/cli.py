@@ -108,6 +108,17 @@ def _require(args, *names):
             raise ValidationError(f"--{name} is required (flag or config file)")
 
 
+def _features(args, stream):
+    """The ``--features`` file: with ``stream``, a raw-binary file is only opened, else loaded.
+
+    An opened file (a ``FeatureFile``) is read anew by each consumer, which
+    keeps only what it derives from the rows.
+    """
+    if stream and args.fmt == "raw-binary":
+        return feat.FeatureFile(args.features)
+    return feat.load_features(args.features, args.fmt)
+
+
 def _print_stages(model):
     for s, stage in enumerate(model.stages):
         clamped = ",".join(str(p.clamped_count) for p in stage.projections)
@@ -166,9 +177,11 @@ def cmd_fit(args):
         lam = casc.DEFAULT_CASCADE_LAMBDA if args.cascade else met.DEFAULT_LAMBDA
     learner = met.make_learner(args.learner, lam)
     with _phase("load"):
-        matrix = feat.load_features(args.features, args.fmt)
+        # fit_pca and apply_pca each read a raw-binary file themselves, so no
+        # N x D input is held during the PCA eigendecomposition
+        features = _features(args, stream=args.pca_dim is not None)
         pairs = feat.load_pairs(args.pairs)
-    width = matrix.dim if args.pca_dim is None else args.pca_dim
+    width = features.dim if args.pca_dim is None else args.pca_dim
     # 2**stages stage-0 groups of a 2**stages-wide input are 1 wide, and
     # rmml's trace-normalized contrast of a 1 x 1 sum is identically zero
     if args.cascade and args.learner == "rmml" and width == 2**args.stages:
@@ -179,12 +192,12 @@ def cmd_fit(args):
     pca = None
     if args.pca_dim is not None:
         with _phase("pca"):
-            pca = feat.fit_pca(matrix, args.pca_dim)
-            matrix = feat.apply_pca(pca, matrix)
+            pca = feat.fit_pca(features, args.pca_dim)
+            features = feat.apply_pca(pca, features)
     stage_count = args.stages if args.cascade else 0
     # hand fit_cascade the only reference, so the input is freed after stage 0
-    inputs = [matrix]
-    del matrix
+    inputs = [features]
+    del features
     with _phase("fit"):
         model = casc.fit_cascade(inputs.pop(), pairs, stage_count, learner, args.seed)
     with _phase("save"):
@@ -205,11 +218,8 @@ def cmd_eval(args):
     _require(args, "features", "pairs")
     ev._check_bins(args.bins)
     with _phase("load"):
-        # a raw-binary file is only opened here; each model reads its rows anew
-        if args.fmt == "raw-binary":
-            features = feat.FeatureFile(args.features)
-        else:
-            features = feat.load_features(args.features, args.fmt)
+        # each model reads the rows of a raw-binary file anew
+        features = _features(args, stream=True)
         pairs = feat.load_pairs(args.pairs)
     reports = []
     with _phase("score"):
@@ -240,7 +250,8 @@ def cmd_eval(args):
 def cmd_transform(args):
     _require(args, "features", "output", "model")
     model, pca = casc.load_model(args.model)
-    matrix = feat.load_features(args.features, args.fmt)
+    # a raw-binary input is projected as it is read, never held whole
+    matrix = _features(args, stream=pca is not None)
     if pca is not None:
         matrix = feat.apply_pca(pca, matrix)
     with _phase("transform"):

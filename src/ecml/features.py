@@ -309,7 +309,8 @@ class _BinaryReader:
         self.fh = fh
         self.path = path
         self.kind = kind
-        self.size = os.fstat(fh.fileno()).st_size
+        self.stat = os.fstat(fh.fileno())
+        self.size = self.stat.st_size
         self.off = 0
 
     def need(self, n, what):
@@ -390,18 +391,41 @@ def _load_binary(path) -> FeatureMatrix:
     return FeatureMatrix(data)
 
 
+def _identity(stat):
+    """What tells two versions of a file apart, from its ``os.stat_result``."""
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
 class FeatureFile:
     """A raw-binary feature file whose header has been checked; its rows are read on demand.
 
     Like a ``FeatureMatrix`` it has ``count``, ``dim`` and ``gather``, so
-    ``ecml.evaluate`` takes either, but it holds no rows: each ``gather``
-    reads the file again, front to back.
+    ``ecml.evaluate``, ``fit_pca`` and ``apply_pca`` take either, but it
+    holds no rows: each ``gather`` or ``load`` reads the file again, front
+    to back. The file's identity (device, inode, size and modification
+    time) is recorded at open, and every read rejects a file whose identity
+    or header has changed since, so that no result mixes two versions of it.
     """
 
     def __init__(self, path):
         self.path = path
-        with _open_binary(path) as (_, n, d):
+        with _open_binary(path) as (cur, n, d):
             self.count, self.dim = n, d
+            self._identity = _identity(cur.stat)
+
+    @contextmanager
+    def _reopen(self):
+        """The file, open at its first payload byte, checked to be the file opened at first."""
+        with _open_binary(self.path) as (cur, n, d):
+            if (_identity(cur.stat), n, d) != (self._identity, self.count, self.dim):
+                raise ValidationError(f"{self.path}: feature file changed while being read")
+            yield cur
+
+    def load(self) -> FeatureMatrix:
+        """Every row, read into one checked matrix, as ``load_features`` reads the file."""
+        with self._reopen() as cur:
+            data = cur.array((self.count, self.dim), "<f8", "features")
+        return FeatureMatrix(data)
 
     def gather(self, rows, size):
         """Yield ``(start, stop, the file's rows[start:stop])`` for each of ``row_blocks(rows.size, size)``.
@@ -414,9 +438,8 @@ class FeatureFile:
         and must be done with before asking for the next block.
         """
         bounds = row_blocks(rows.size, size)
-        with _open_binary(self.path) as (cur, n, d):
-            if (n, d) != (self.count, self.dim):
-                raise ValidationError(f"{self.path}: feature file changed while being read")
+        n, d = self.count, self.dim
+        with self._reopen() as cur:
             read = np.empty((min(n, size), d), dtype="<f8")
             block = np.empty((max(stop - start for start, stop in bounds), d))
             k, b = 0, 0  # next entry of rows to copy, and the block it belongs to
@@ -461,13 +484,18 @@ def load_labels(path) -> np.ndarray:
 # PCA
 
 
-def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
+def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
     """Fit a centered (not whitened) PCA onto the top-k covariance eigenvectors.
 
     Eigenvalues are taken in non-increasing order; eigenvector signs are
-    pinned for reproducibility. The N x D centered copy is freed, and the
-    covariance scaled in place, before ``eigh`` allocates its own workspace,
-    which then sets the call's peak memory.
+    pinned for reproducibility. ``k`` is checked before any row is read.
+
+    A ``FeatureFile`` is read here into one checked N x D matrix, which is
+    freed once the N x D centered copy is made; the centered copy is freed,
+    and the covariance scaled in place, before ``eigh`` allocates its own
+    workspace. During ``eigh`` the call then holds the D x D covariance and
+    the mean, and nothing N x D; a ``FeatureMatrix`` stays held by its
+    caller. The model's bits are the same for either input.
     """
     n, d = features.count, features.dim
     kmax = min(n - 1, d)
@@ -475,8 +503,11 @@ def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
         raise ValidationError(
             f"pca dimension {k} out of range [1, {kmax}] for {n} samples of dim {d}"
         )
+    if isinstance(features, FeatureFile):
+        features = features.load()
     mean = features.data.mean(axis=0)
     centered = features.data - mean
+    del features  # the last reference to a matrix loaded here
     cov = centered.T @ centered
     del centered
     cov /= n - 1
@@ -492,19 +523,26 @@ def fit_pca(features: FeatureMatrix, k: int) -> PcaModel:
     return PcaModel(mean=mean, basis=basis)
 
 
-def apply_pca(model: PcaModel, features: FeatureMatrix) -> FeatureMatrix:
+def apply_pca(model: PcaModel, features: FeatureMatrix | FeatureFile) -> FeatureMatrix:
     """Project rows onto the PCA basis: (x - mean) @ basis.
 
     Rows are centered and projected in ``row_blocks`` of ``PCA_ROWS`` into
-    one output array, so beside it the call holds one centered block; the
-    bits equal those of one product over all rows.
+    one N x k output array, and the bits equal those of one product over
+    all rows. Beside the output the call holds one centered block; a
+    ``FeatureFile`` is read front to back through ``gather``, which adds
+    its read buffer of ``PCA_ROWS`` rows and the row indices.
     """
     _check_pca_input(model, features.dim)
-    x, n = features.data, features.count
+    n = features.count
     out = np.empty((n, model.k))
-    centered = np.empty((min(n, PCA_ROWS + 1), features.dim))
-    for start, stop in row_blocks(n, PCA_ROWS):
-        _project(model, x[start:stop], centered[: stop - start], out[start:stop])
+    if isinstance(features, FeatureFile):
+        for start, stop, block in features.gather(np.arange(n), PCA_ROWS):
+            _project(model, block, block, out[start:stop])
+    else:
+        x = features.data
+        centered = np.empty((min(n, PCA_ROWS + 1), features.dim))
+        for start, stop in row_blocks(n, PCA_ROWS):
+            _project(model, x[start:stop], centered[: stop - start], out[start:stop])
     out.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
     return FeatureMatrix(out)
 

@@ -705,6 +705,107 @@ class TestRawBinaryEval:
         assert err.splitlines()[-1] == "error: pair index 400 out of range for 360 samples"
 
 
+    def test_file_rewritten_between_models(self, streamed, capsys, monkeypatch):
+        # same shape, same inode, new modification time: the first model's
+        # scores must not be reported beside the second's on other rows
+        path = streamed / "rewritten.bin"
+        path.write_bytes((streamed / "f.bin").read_bytes())
+        data = ecml.load_features(path, "raw-binary").data
+        load_model = cli.casc.load_model
+        loaded = []
+
+        def rewrite_after_first(model_path):
+            if loaded:
+                before = path.stat()
+                ecml.save_features(ecml.FeatureMatrix(data[::-1]), path, "raw-binary")
+                os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1000))
+            loaded.append(model_path)
+            return load_model(model_path)
+
+        monkeypatch.setattr(cli.casc, "load_model", rewrite_after_first)
+        code, out, err = self.eval(capsys, streamed, path.name, "p.csv", "plain", "kissme-pca")
+        assert len(loaded) == 2 and code == 2 and out == ""
+        assert err.splitlines()[-1] == f"error: {path}: feature file changed while being read"
+
+
+class TestRawBinaryFit:
+    """``fit --pca-dim --format raw-binary`` reads the file in fit_pca and again in apply_pca."""
+
+    @staticmethod
+    def data_set(work, n):
+        """``n`` rows of 16-dim features as raw binary and CSV, and training pairs."""
+        feats, labels = ecml.gen_synthetic(30, 20, 16, 1.0, 1.0, seed=n)
+        feats = ecml.FeatureMatrix(feats.data[:n])
+        ecml.save_features(feats, work / "f.bin", "raw-binary")
+        ecml.save_features(feats, work / "f.csv")
+        ecml.save_pairs(ecml.sample_pairs(labels[:n], 500, 0.5, seed=n), work / "p.csv")
+
+    def fit(self, capsys, work, features, *flags, fmt="raw-binary", pairs="p.csv"):
+        return run(capsys, "fit", "--features", str(work / features), "--format", fmt,
+                   "--pairs", str(work / pairs), "--model", str(work / f"{features}.ecml"),
+                   "--pca-dim", "8", *flags)
+
+    @pytest.mark.parametrize("n, flags", [
+        (360, ["--learner", "kissme"]),
+        (257, ["--learner", "kissme"]),
+        (513, ["--cascade", "--stages", "1"]),
+    ], ids=["kissme", "kissme-257-rows", "cascade-513-rows"])
+    def test_model_bytes_match_csv(self, tmp_path, capsys, monkeypatch, n, flags):
+        # 257 and 513 rows leave a 1-row remainder, projected with the block before it
+        self.data_set(tmp_path, n)
+        assert self.fit(capsys, tmp_path, "f.csv", *flags, fmt="csv")[0] == 0
+
+        def load_features(path, fmt="csv"):
+            raise AssertionError("the raw-binary fit loaded the whole file")
+
+        monkeypatch.setattr(cli.feat, "load_features", load_features)
+        assert self.fit(capsys, tmp_path, "f.bin", *flags)[0] == 0
+        assert (tmp_path / "f.bin.ecml").read_bytes() == (tmp_path / "f.csv.ecml").read_bytes()
+
+    @pytest.mark.parametrize("fault", ["nan", "nan-and-bad-pairs", "nan-and-bad-pca-dim",
+                                       "nan-and-pair-out-of-range"])
+    def test_fault_order(self, tmp_path, capsys, fault):
+        self.data_set(tmp_path, 360)
+        data = ecml.load_features(tmp_path / "f.bin", "raw-binary").data.copy()
+        data[359, 15] = np.nan
+        TestRawBinaryEval.write_raw(tmp_path / "nan.bin", data)
+        flags, pairs = [], "p.csv"
+        message = "non-finite feature value at row 359, column 15"
+        if fault == "nan-and-bad-pairs":
+            pairs = "bad.csv"
+            (tmp_path / pairs).write_text("0,1,1\n2,x,0\n")
+            message = f"{tmp_path / pairs}: line 1: cannot parse 'x' at row 1, column 1"
+        elif fault == "nan-and-bad-pca-dim":
+            flags = ["--pca-dim", "17"]
+            message = "pca dimension 17 out of range [1, 16] for 360 samples of dim 16"
+        elif fault == "nan-and-pair-out-of-range":
+            # the pairs are checked against the rows after the PCA front end
+            pairs = "far.csv"
+            (tmp_path / pairs).write_text((tmp_path / "p.csv").read_text() + "3,360,0\n")
+        code, _, err = self.fit(capsys, tmp_path, "nan.bin", *flags, pairs=pairs)
+        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
+        assert not (tmp_path / "nan.bin.ecml").exists()
+
+    def test_file_rewritten_between_pca_fit_and_projection(self, tmp_path, capsys, monkeypatch):
+        self.data_set(tmp_path, 360)
+        path = tmp_path / "f.bin"
+        data = ecml.load_features(path, "raw-binary").data
+        fit_pca = cli.feat.fit_pca
+
+        def fit_then_rewrite(features, k):
+            pca = fit_pca(features, k)
+            before = path.stat()
+            ecml.save_features(ecml.FeatureMatrix(data * 2.0), path, "raw-binary")
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1000))
+            return pca
+
+        monkeypatch.setattr(cli.feat, "fit_pca", fit_then_rewrite)
+        code, _, err = self.fit(capsys, tmp_path, "f.bin", "--learner", "kissme")
+        assert code == 2
+        assert err.splitlines()[-1] == f"error: {path}: feature file changed while being read"
+        assert not (tmp_path / "f.bin.ecml").exists()
+
+
 class TestTransform:
     def test_matches_library_transform(self, workspace, capsys):
         run(
@@ -745,6 +846,38 @@ class TestTransform:
         expected = ecml.transform(model, ecml.apply_pca(pca, feats))
         got = ecml.load_features(workspace / "tp.csv", "csv")
         assert np.array_equal(got.data, expected.data)
+
+
+    def test_raw_binary_input_streams_through_pca(self, workspace, capsys, monkeypatch):
+        run(
+            capsys,
+            "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "mp.ecml"),
+            "--pca-dim", "8", "--cascade", "--stages", "1", "--seed", "2",
+        )
+        ecml.save_features(ecml.load_features(workspace / "f.csv"), workspace / "f.bin",
+                           "raw-binary")
+        code, _, _ = run(
+            capsys,
+            "transform", "--model", str(workspace / "mp.ecml"),
+            "--features", str(workspace / "f.csv"), "--output", str(workspace / "t.csv"),
+        )
+        assert code == 0
+
+        def load_features(path, fmt="csv"):
+            raise AssertionError("transform loaded the whole raw-binary file")
+
+        monkeypatch.setattr(cli.feat, "load_features", load_features)
+        code, _, _ = run(
+            capsys,
+            "transform", "--model", str(workspace / "mp.ecml"), "--format", "raw-binary",
+            "--features", str(workspace / "f.bin"), "--output", str(workspace / "t.bin"),
+        )
+        assert code == 0
+        monkeypatch.undo()
+        ecml.save_features(ecml.load_features(workspace / "t.bin", "raw-binary"),
+                           workspace / "t-from-bin.csv")
+        assert (workspace / "t-from-bin.csv").read_bytes() == (workspace / "t.csv").read_bytes()
 
 
 class TestInspect:

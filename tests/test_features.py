@@ -1,5 +1,7 @@
 """Tests for feature I/O, PCA, pair sampling, padding, and generation."""
 
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -131,6 +133,29 @@ class TestBinaryFormat:
         with pytest.raises(ValidationError, match="feature file changed while being read"):
             list(source.gather(np.arange(2), 4))
 
+    @pytest.mark.parametrize("rewrite", ["in-place-new-mtime", "replaced-same-mtime"])
+    def test_same_shape_rewrite_rejected(self, tmp_path, rng, rewrite):
+        # same size, same header: only the inode or the modification time tells
+        path = tmp_path / "f.bin"
+        ecml.save_features(ecml.FeatureMatrix(rng.normal(size=(6, 3))), path, "raw-binary")
+        before = path.stat()
+        source = ecml.FeatureFile(path)
+        other = ecml.FeatureMatrix(rng.normal(size=(6, 3)))
+        if rewrite == "in-place-new-mtime":
+            ecml.save_features(other, path, "raw-binary")
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 1000))
+            assert path.stat().st_ino == before.st_ino
+        else:
+            ecml.save_features(other, tmp_path / "new.bin", "raw-binary")
+            os.replace(tmp_path / "new.bin", path)
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert path.stat().st_ino != before.st_ino
+        assert path.stat().st_size == before.st_size
+        with pytest.raises(ValidationError, match="feature file changed while being read"):
+            list(source.gather(np.arange(2), 4))
+        with pytest.raises(ValidationError, match="feature file changed while being read"):
+            source.load()
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -246,6 +271,55 @@ class TestPca:
             tracemalloc.stop()
         # the mean and the scaled D x D covariance, but no N x D temporary
         assert len(live) == 1 and live[0] < feats.data.nbytes // 4
+
+    def test_fit_from_file_holds_nothing_n_by_d_at_eigh(self, tmp_path, rng, monkeypatch):
+        feats = ecml.FeatureMatrix(rng.normal(size=(2000, 64)))
+        path = tmp_path / "f.bin"
+        ecml.save_features(feats, path, "raw-binary")
+        source = ecml.FeatureFile(path)
+        live = []
+        real_eigh = np.linalg.eigh
+
+        def eigh(a):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        tracemalloc.start()
+        try:
+            model = ecml.fit_pca(source, 8)
+        finally:
+            tracemalloc.stop()
+        # the rows are read inside the call; only the mean and the D x D
+        # covariance are alive at eigh
+        assert len(live) == 1 and live[0] < feats.data.nbytes // 4
+        want = ecml.fit_pca(feats, 8)
+        assert model.mean.tobytes() == want.mean.tobytes()
+        assert model.basis.tobytes() == want.basis.tobytes()
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, PCA_ROWS, PCA_ROWS + 1, 2 * PCA_ROWS + 1, 2 * PCA_ROWS + 2]
+    )
+    def test_apply_to_file_equals_apply_to_matrix_bitwise(self, tmp_path, rng, n):
+        feats = ecml.FeatureMatrix(rng.normal(size=(n, 96)))
+        path = tmp_path / "f.bin"
+        ecml.save_features(feats, path, "raw-binary")
+        model = ecml.fit_pca(ecml.FeatureMatrix(rng.normal(size=(80, 96))), 40)
+        got = ecml.apply_pca(model, ecml.FeatureFile(path)).data
+        assert not got.flags.writeable
+        assert got.tobytes() == ecml.apply_pca(model, feats).data.tobytes()
+
+    def test_fit_from_file_checks_k_before_reading_rows(self, tmp_path, rng):
+        data = rng.normal(size=(10, 4))
+        data[3, 1] = np.nan
+        path = tmp_path / "f.bin"
+        # written by hand: save_features refuses non-finite values
+        path.write_bytes(b"CMF1" + struct.pack("<QQ", 10, 4) + data.astype("<f8").tobytes())
+        source = ecml.FeatureFile(path)
+        with pytest.raises(ValidationError, match=r"pca dimension 5 out of range \[1, 4\]"):
+            ecml.fit_pca(source, 5)
+        with pytest.raises(ValidationError, match="non-finite feature value at row 3, column 1"):
+            ecml.fit_pca(source, 2)
 
     def test_apply_peak_is_output_plus_one_row_block(self, rng):
         n, d, k = 1000, 256, 128

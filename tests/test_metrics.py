@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ecml
 from ecml import metrics
-from ecml._linalg import symmetrize
+from ecml._linalg import SYMMETRY_TILE, is_symmetric, symmetrize
 from ecml.errors import DegenerateStats, SingularCovariance, ValidationError
 
 from conftest import clustered_problem, make_stats
@@ -291,6 +291,64 @@ class TestMetricModel:
         monkeypatch.setattr(metrics, "freeze_array", tracking_freeze)
         model = ecml.make_learner(learner)(stats)
         assert copied == [] and not model.matrix.flags.writeable
+
+
+class TestIsSymmetric:
+    """The tiled bitwise test against one comparison of the whole matrix with its transpose."""
+
+    @staticmethod
+    def reference(m):
+        bits = m.view(np.uint64)
+        return np.array_equal(bits, bits.T)
+
+    @pytest.mark.parametrize("w", [1, 2, SYMMETRY_TILE - 1, SYMMETRY_TILE, SYMMETRY_TILE + 1, 300])
+    def test_symmetric_widths(self, rng, w):
+        a = rng.normal(size=(w, w))
+        m = a + a.T
+        assert self.reference(m) and is_symmetric(m)
+
+    @pytest.mark.parametrize("w", [2, SYMMETRY_TILE + 1, 300])
+    def test_every_single_mismatch_found(self, rng, w):
+        a = rng.normal(size=(w, w))
+        m = a + a.T
+        # first and last row and column, the last partial tile, and an
+        # off-diagonal tile well inside the matrix
+        cells = {(0, w - 1), (w - 1, 0), (w - 1, w - 2), (w // 2, 1), (1, w // 2)}
+        for i, j in (c for c in cells if c[0] != c[1]):
+            bad = m.copy()
+            bad[i, j] = np.nextafter(bad[i, j], np.inf)
+            assert not self.reference(bad) and not is_symmetric(bad), (i, j)
+
+    def test_one_mismatch_in_an_off_diagonal_tile(self, rng):
+        w = 2 * SYMMETRY_TILE + 44
+        a = rng.normal(size=(w, w))
+        m = a + a.T
+        m[SYMMETRY_TILE + 5, 3] += 1.0  # tile (1, 0); its mirror (0, 1) is unchanged
+        assert not is_symmetric(m)
+
+    def test_signed_zeros_differ(self):
+        w = SYMMETRY_TILE + 3
+        m = np.zeros((w, w))
+        m[w - 1, 2] = -0.0
+        assert not is_symmetric(m)
+        m[2, w - 1] = -0.0
+        assert is_symmetric(m)
+
+    def test_non_square_is_not_symmetric(self):
+        assert not is_symmetric(np.zeros((3, 4)))
+        assert not is_symmetric(np.zeros((SYMMETRY_TILE + 1, SYMMETRY_TILE)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), w=st.integers(1, 2 * SYMMETRY_TILE + 3),
+           flips=st.integers(0, 2))
+    def test_matches_reference(self, seed, w, flips):
+        r = np.random.default_rng(seed)
+        a = r.normal(size=(w, w))
+        m = a + a.T
+        for _ in range(flips):
+            i, j = r.integers(0, w, size=2)
+            m[i, j] = -m[i, j] if m[i, j] != 0.0 else -0.0
+        assert is_symmetric(m) == self.reference(m)
 
 
 class TestFitRmml:
