@@ -11,11 +11,6 @@ fits one ungrouped metric on the last stage's output and performs no mapping
 or normalization. Padding is internal: stage widths follow from the input
 dimension and the group counts, and no padding helper is public.
 
-While fitting, group g - 1 is mapped on one helper thread while the calling
-thread runs group g's learner and ``mcd``. The helper runs only the mapping;
-``accumulate_stats``, the learner and ``mcd`` all run on the calling thread,
-one group after the other, as they would without it.
-
 Inference replays the stored permutations and projections through the same
 shuffle and mapping code, so a fitted model reproduces its training-time
 stage outputs bit for bit.
@@ -48,7 +43,10 @@ MODEL_VERSION = 1
 
 @dataclass(frozen=True)
 class Projection:
-    """Per-group mapping matrix P; ``mcd`` makes P @ P.T the clamped group metric."""
+    """Per-group mapping matrix P; ``mcd`` makes P @ P.T the clamped group metric.
+
+    There is no PSD check: P @ P.T is PSD for every finite P.
+    """
 
     p: np.ndarray
     clamped_count: int
@@ -257,19 +255,18 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     """Fit one ensemble stage on its input padded and shuffled by ``perm``.
 
     Returns (StageModel, stage output features); ``shuffled``, as ``_shuffle``
-    makes it, is mapped in place and becomes the output. Once group g's stats
-    are summed, its columns are no longer read, so group g - 1 is mapped in
-    place on a helper thread while this thread runs group g's learner and
-    ``mcd``; the helper is joined before the next stats call.
+    makes it, is mapped in place and becomes the output. Each group's columns
+    are copied into one N x (D/G) ``block``, allocated here once, and summed
+    through a read-only view of it, which the checked ``FeatureMatrix``
+    constructor keeps uncopied. Once group g's stats are summed, its columns
+    are no longer read, so group g - 1 is mapped in place through ``block``
+    on a helper thread while this thread runs group g's learner and ``mcd``;
+    the helper is joined before group g + 1 is copied into ``block``.
     Every call the tracer wraps, and numpy's eigen solvers within them, stays
     on this thread in group order, because the tracer keeps one span stack.
-    The helper allocates nothing large: ``block`` is allocated here.
     """
     gdim = perm.size // n_groups
     block = np.empty((shuffled.shape[0], gdim))
-    # each group's columns are copied into ``block`` and summed through this
-    # read-only view, which FeatureMatrix keeps uncopied; the stats call
-    # returns before the helper maps the previous group through ``block``
     group = block.view()
     group.setflags(write=False)
     projections = []
@@ -298,7 +295,14 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     Stage group counts follow :func:`group_counts`; each stage consumes the
     previous stage's output. ``stage_count = 0`` degenerates to the plain
     learner on the raw features. The final metric is fitted without grouping
-    and is never factorized or normalized.
+    and is never factorized or normalized. More stage-0 groups than input
+    dimensions (``2**stage_count > D``) are rejected before fitting.
+
+    Each stage shuffles its input into a fresh matrix and drops its own
+    reference to the input, so the previous stage's output (and the
+    caller's matrix, if the caller holds no reference) is freed before the
+    stage's first stats call. Each stage ends by handing the free heap back
+    to the OS, as each ``accumulate_stats`` call does.
     """
     if stage_count < 0:
         raise ValidationError(f"stage count must be >= 0, got {stage_count}")
@@ -312,14 +316,10 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     rng = np.random.default_rng(seed)
     stages = []
     input_dim = features.dim
-    # keep no reference of our own: once stage 0 has shuffled the input, the
-    # caller's matrix can be freed if the caller holds none either
     current, features = features, None
     counts = group_counts(stage_count) if stage_count else []
     for s, n_groups in enumerate(counts):
         perm = rng.permutation(_padded_width(current.dim, n_groups))
-        # the stage reads only the shuffled copy: drop its input before the
-        # stage's stats calls, so that it is freed
         shuffled, current = _shuffle(current.data, perm), None
         try:
             stage, current = _fit_stage(shuffled, perm, pairs, n_groups, learner)
@@ -329,9 +329,8 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
             failure.group_index = getattr(exc, "group_index", None)
             raise failure from exc
         stages.append(stage)
-        # the stage is over and its input freed: hand the free heap back, as
-        # each stats call does; the next stage's and the final metric's stats
-        # buffers then grow RSS from a heap holding only live arrays
+        # the next stage's stats buffers then grow RSS from a heap holding
+        # only live arrays
         _release_free_heap()
     final = learner(accumulate_stats(current, pairs))
     return CascadeModel(

@@ -112,7 +112,8 @@ def _features(args, stream):
     """The ``--features`` file: with ``stream``, a raw-binary file is only opened, else loaded.
 
     An opened file (a ``FeatureFile``) is read anew by each consumer, which
-    keeps only what it derives from the rows.
+    keeps only what it derives from the rows. A CSV file is always parsed,
+    and held, whole.
     """
     if stream and args.fmt == "raw-binary":
         return feat.FeatureFile(args.features)
@@ -181,6 +182,8 @@ def cmd_fit(args):
         # N x D input is held during the PCA eigendecomposition
         features = _features(args, stream=args.pca_dim is not None)
         pairs = feat.load_pairs(args.pairs)
+    # an opened raw-binary file has read only its header, so no row is read yet
+    pairs.check_against(features)
     width = features.dim if args.pca_dim is None else args.pca_dim
     # 2**stages stage-0 groups of a 2**stages-wide input are 1 wide, and
     # rmml's trace-normalized contrast of a 1 x 1 sum is identically zero

@@ -131,8 +131,10 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
     appears in: through ``pca``, then the stages. A ``FeatureMatrix``
     scored by a model with neither is scored as it is. The scores equal,
     bit for bit, those of ``cascade_distance`` on ``SCORE_CHUNK``-pair row
-    blocks of the projected features.
+    blocks of the projected features. ``bins`` is checked before any row
+    is read.
     """
+    _check_bins(bins)
     if pca is not None:
         _check_pca_input(pca, features.dim)
     pairs.check_against(features)
@@ -256,7 +258,9 @@ def kl_divergence(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> float:
 def build_report(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> EvalReport:
     """Assemble the full report; ROC rows hold (threshold, far, frr) with
     thresholds descending so FAR is non-increasing down the table. A
-    degenerate report (every score identical) has KL 0 and one ROC row."""
+    degenerate report (every score identical) has KL 0 and one ROC row;
+    ``bins`` is checked for it too."""
+    _check_bins(bins)
     points = _operating_points(scored)
     res = _eer(*points)
     return EvalReport(

@@ -127,8 +127,8 @@ class PairSet:
     def n_neg(self) -> int:
         return int((self.y == 0).sum())
 
-    def check_against(self, features: FeatureMatrix) -> None:
-        """Raise if any pair index falls outside the feature matrix."""
+    def check_against(self, features: FeatureMatrix | FeatureFile) -> None:
+        """Raise if any pair index falls outside the features' ``count`` rows."""
         n = features.count
         hi = int(max(self.i.max(), self.j.max()))
         if hi >= n:
@@ -177,7 +177,7 @@ def load_features(path, fmt="csv") -> FeatureMatrix:
     if fmt == "csv":
         return _load_csv(path)
     if fmt == "raw-binary":
-        return _load_binary(path)
+        return FeatureFile(path).load()
     raise ValidationError(f"unknown feature format {fmt!r}; expected one of {FEATURE_FORMATS}")
 
 
@@ -300,9 +300,7 @@ def _load_csv(path) -> FeatureMatrix:
 class _BinaryReader:
     """Reads a binary file front to back, checking each read against the file size.
 
-    ``kind`` names the file in messages ("model", "feature"). Arrays are read
-    straight from the file into fresh aligned arrays, marked read-only so
-    that the objects built on them keep them uncopied.
+    ``kind`` names the file in messages ("model", "feature").
     """
 
     def __init__(self, fh, path, kind):
@@ -346,7 +344,13 @@ class _BinaryReader:
         return arr
 
     def array(self, shape, dtype, what):
-        """A read-only array of ``shape`` and the little-endian ``dtype``, read from the file."""
+        """An array of ``shape`` and the little-endian ``dtype``, read from the file.
+
+        The bytes go straight into a fresh, aligned array, marked read-only so
+        that the objects built on it keep it uncopied. A view into the file's
+        bytes could be unaligned (a feature payload starts at byte 20), and
+        numpy runs its slower unaligned loops on such an array.
+        """
         dtype = np.dtype(dtype)
         self.need(math.prod(shape) * dtype.itemsize, what)  # before allocating
         arr = self.fill(np.empty(shape, dtype=dtype), what)
@@ -380,17 +384,6 @@ def _open_binary(path):
         raise ValidationError(f"{path}: cannot read file: {exc}") from exc
 
 
-def _load_binary(path) -> FeatureMatrix:
-    """Read the payload straight into a fresh, aligned array.
-
-    A view into the file's bytes would start at byte 20, which is not 8-byte
-    aligned, and numpy runs its slower unaligned loops on such an array.
-    """
-    with _open_binary(path) as (cur, n, d):
-        data = cur.array((n, d), "<f8", "features")
-    return FeatureMatrix(data)
-
-
 def _identity(stat):
     """What tells two versions of a file apart, from its ``os.stat_result``."""
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
@@ -422,7 +415,7 @@ class FeatureFile:
             yield cur
 
     def load(self) -> FeatureMatrix:
-        """Every row, read into one checked matrix, as ``load_features`` reads the file."""
+        """Every row, read into one checked matrix; ``load_features`` reads raw binary here."""
         with self._reopen() as cur:
             data = cur.array((self.count, self.dim), "<f8", "features")
         return FeatureMatrix(data)
@@ -433,9 +426,8 @@ class FeatureFile:
         ``rows`` must be ascending, unique and below ``count``. The file is
         read front to back ``size`` rows at a time through one buffer, and
         every row read is checked finite, whether ``rows`` holds it or not;
-        the message names the row in the file. The referenced rows are
-        copied into one reused block buffer, which the caller may overwrite
-        and must be done with before asking for the next block.
+        the message names the row in the file. The blocks share one reused
+        buffer, as in ``FeatureMatrix.gather``.
         """
         bounds = row_blocks(rows.size, size)
         n, d = self.count, self.dim
@@ -570,9 +562,9 @@ def _project(model: PcaModel, x, centered, out):
 def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     """Draw ``count`` distinct unordered pairs without replacement.
 
-    Matched pairs are uniform over same-identity pairs, unmatched pairs
-    uniform over cross-identity pairs; the split honors ``pos_fraction``
-    within rounding. Deterministic for a fixed seed.
+    ``round(count * pos_fraction)`` pairs are matched, uniform over
+    same-identity pairs, and the rest unmatched, uniform over cross-identity
+    pairs. Deterministic for a fixed seed.
 
     Each class's pool has a fixed order: matched pairs by identity
     (ascending), then row-major within it; unmatched pairs row-major over all

@@ -37,7 +37,9 @@ class DifferenceStats:
 
     ``sum_pos`` is the D x D sum of d d^T over matched pairs and ``tr_pos``
     its trace, the matching sum of d^T d; likewise for the unmatched
-    quantities.
+    quantities. The public constructor checks shape, pair counts,
+    finiteness, symmetry and positive semidefiniteness (one ``eigvalsh``
+    per sum).
     """
 
     sum_pos: np.ndarray
@@ -131,17 +133,20 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
 
     Each class's differences are gathered ``STATS_CHUNK`` pairs at a time, in
     pair-set order, and their ``d.T @ d`` products are added into one D x D
-    total, so beyond the result the call allocates a few chunk x D blocks
-    whatever the pair count. A class of at most ``STATS_CHUNK`` pairs is one
-    product; a larger one sums its chunk products in order, which rounds
-    differently from one product over the whole class. The chunk size is
-    therefore part of the determinism contract for model bytes.
+    total (see ``_class_buffers`` for the blocks). A class of at most
+    ``STATS_CHUNK`` pairs is one product; a larger one sums its chunk
+    products in order, which rounds differently from one product over the
+    whole class. The chunk size is therefore part of the determinism
+    contract for model bytes.
 
-    The two classes are summed concurrently: the matched class on one worker
-    thread, the unmatched class on the calling thread. Each keeps its own
-    chunk order, so the result is the same to the bit as summing them one
-    after the other. The worker is joined before the call returns, and an
-    exception it raises is re-raised here.
+    The matched class is summed on a worker thread (``_beside``) while the
+    calling thread sums the unmatched one. Each keeps its own chunk order,
+    so the result is the same to the bit as summing them one after the
+    other. How the two threads' small allocations interleave differs from
+    run to run, and with it which freed heap blocks stay resident; handing
+    the free heap back to the OS once the class buffers are freed
+    (``_release_free_heap``) keeps the fit's peak RSS the same from run to
+    run.
     """
     # must come first: _class_sum gathers with mode="clip", which would
     # silently clamp an out-of-range index instead of raising
@@ -150,20 +155,12 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     # read-only, so the stats hold the sums themselves rather than frozen copies
     sum_pos.setflags(write=False)
     sum_neg.setflags(write=False)
-    # how the two threads' small allocations interleave differs from run to
-    # run, and with it which freed heap blocks are still resident when later
-    # arrays are allocated; handing the free pages back once the class
-    # buffers are gone keeps the fit's peak RSS the same from run to run
     _release_free_heap()
     return DifferenceStats._from_sums(sum_pos, sum_neg, n_pos, n_neg)
 
 
 def _concurrent_class_sums(x, pairs):
-    """(pair count, sum of d d^T) for the matched and then the unmatched class.
-
-    The matched class is summed on a worker thread while this thread sums
-    the unmatched one; the worker is joined, and its exception re-raised here.
-    """
+    """(pair count, sum of d d^T) for the matched and then the unmatched class."""
     # every array either loop touches is allocated here, before the worker
     # starts, and the loops allocate no arrays: a worker's own malloc arena
     # cannot reuse heap that earlier stages freed, and large allocations made
@@ -223,7 +220,9 @@ def _release_free_heap():
 def _class_buffers(x, pairs, label):
     """Row indices and buffers for one class's sum: the arguments of _class_sum after x.
 
-    The product block is needed only when the class spans several chunks.
+    Whatever the pair count, the buffers are one ``STATS_CHUNK`` x D gather
+    block, one ``SUB_ROWS`` x D block, the D x D total and, only when the
+    class spans several chunks, a D x D product block.
     """
     idx = np.flatnonzero(pairs.y == label)
     first, second = pairs.i[idx], pairs.j[idx]

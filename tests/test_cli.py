@@ -779,12 +779,25 @@ class TestRawBinaryFit:
             flags = ["--pca-dim", "17"]
             message = "pca dimension 17 out of range [1, 16] for 360 samples of dim 16"
         elif fault == "nan-and-pair-out-of-range":
-            # the pairs are checked against the rows after the PCA front end
+            # the pairs are checked against the header's row count
             pairs = "far.csv"
             (tmp_path / pairs).write_text((tmp_path / "p.csv").read_text() + "3,360,0\n")
+            message = "pair index 360 out of range for 360 samples"
         code, _, err = self.fit(capsys, tmp_path, "nan.bin", *flags, pairs=pairs)
         assert code == 2 and err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "nan.bin.ecml").exists()
+
+    def test_pair_range_checked_before_pca_fit(self, tmp_path, capsys, monkeypatch):
+        self.data_set(tmp_path, 360)
+        (tmp_path / "far.csv").write_text((tmp_path / "p.csv").read_text() + "3,360,0\n")
+
+        def never(*args, **kwargs):
+            raise AssertionError("fit_pca ran before the pair indices were checked")
+
+        monkeypatch.setattr(cli.feat, "fit_pca", never)
+        code, _, err = self.fit(capsys, tmp_path, "f.bin", pairs="far.csv")
+        assert code == 2
+        assert err.splitlines()[-1] == "error: pair index 360 out of range for 360 samples"
 
     def test_file_rewritten_between_pca_fit_and_projection(self, tmp_path, capsys, monkeypatch):
         self.data_set(tmp_path, 360)

@@ -188,6 +188,23 @@ class TestEvaluate:
             ecml.evaluate(model, wide, pairs)
         assert str(info.value) == "feature dim 9 does not match model input dim 8"
 
+    @pytest.mark.parametrize("bins", [0, -5])
+    def test_bins_checked_before_any_row_is_read(self, tmp_path, monkeypatch, bins):
+        # every score is 0, so the report would be degenerate and compute no KL
+        feats, _, pairs = clustered_problem(seed=5, dim=8)
+        model = ecml.CascadeModel((), ecml.MetricModel(np.zeros((8, 8)), "rmml"), 8, 0)
+        ecml.save_features(feats, tmp_path / "f.bin", "raw-binary")
+        source = ecml.FeatureFile(tmp_path / "f.bin")
+
+        def never(*args, **kwargs):
+            raise AssertionError("a feature row was read before bins was checked")
+
+        monkeypatch.setattr(ecml.FeatureFile, "gather", never)
+        for features in (source, feats):
+            with pytest.raises(ValidationError) as info:
+                ecml.evaluate(model, features, pairs, bins=bins)
+            assert str(info.value) == f"bins must be >= 1, got {bins}"
+
     @pytest.mark.parametrize("stages", [0, 2])
     def test_peak_is_mapped_rows_plus_chunk_buffers(self, rng, stages):
         dim, rows, count = 512, 800, 2000
@@ -393,6 +410,13 @@ class TestReport:
     def test_degenerate_report(self):
         report = ecml.build_report(scored([1.0, 1.0], [1.0]))
         assert report.degenerate and report.eer == 0.5
+
+    @pytest.mark.parametrize("bins", [0, -5])
+    def test_degenerate_report_checks_bins(self, bins):
+        # a degenerate report computes no KL, the other place bins is checked
+        with pytest.raises(ValidationError) as info:
+            ecml.build_report(scored([1.0, 1.0], [1.0]), bins=bins)
+        assert str(info.value) == f"bins must be >= 1, got {bins}"
 
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(19)

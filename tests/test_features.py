@@ -157,6 +157,58 @@ class TestBinaryFormat:
             source.load()
 
 
+class TestSingleBinaryReader:
+    """``load_features(path, "raw-binary")`` reads through ``FeatureFile.load``."""
+
+    def test_load_equals_file_load(self, tmp_path, rng):
+        data = rng.normal(scale=1e3, size=(9, 4))
+        data[0, :3] = [-0.0, 5e-324, -1e308]
+        path = tmp_path / "f.bin"
+        ecml.save_features(ecml.FeatureMatrix(data), path, "raw-binary")
+        loaded = ecml.load_features(path, "raw-binary").data
+        opened = ecml.FeatureFile(path).load().data
+        for arr in (loaded, opened):
+            assert arr.flags.aligned and arr.flags.c_contiguous and not arr.flags.writeable
+            assert arr.view(np.uint64).tobytes() == data.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("fault", ["bad-magic", "size", "empty", "short-header", "directory"])
+    def test_fault_messages(self, tmp_path, fault):
+        path = tmp_path / "f.bin"
+        if fault == "bad-magic":
+            path.write_bytes(b"NOPE" + struct.pack("<QQ", 1, 1) + bytes(8))
+            message = f"{path}: bad magic b'NOPE', expected b'CMF1'"
+        elif fault == "size":
+            path.write_bytes(b"CMF1" + struct.pack("<QQ", 2, 3) + bytes(40))
+            message = f"{path}: expected 68 bytes for 2x3 features, found 60"
+        elif fault == "empty":
+            path.write_bytes(b"CMF1" + struct.pack("<QQ", 0, 3))
+            message = f"{path}: header declares empty matrix 0x3"
+        elif fault == "short-header":
+            path.write_bytes(b"CMF1" + bytes(6))
+            message = f"{path}: truncated feature file: need 20 bytes through header, file has 10"
+        else:
+            path.mkdir()
+            message = f"{path}: cannot read file: [Errno 21] Is a directory: '{path}'"
+        with pytest.raises(ValidationError) as info:
+            ecml.load_features(path, "raw-binary")
+        assert str(info.value) == message
+
+    def test_file_rewritten_between_header_and_payload(self, tmp_path, rng, monkeypatch):
+        # same size, another shape: only the header tells the versions apart
+        path = tmp_path / "f.bin"
+        ecml.save_features(ecml.FeatureMatrix(rng.normal(size=(6, 3))), path, "raw-binary")
+        load = ecml.FeatureFile.load
+
+        def rewrite_then_load(source):
+            ecml.save_features(ecml.FeatureMatrix(rng.normal(size=(3, 6))), path, "raw-binary")
+            return load(source)
+
+        monkeypatch.setattr(ecml.FeatureFile, "load", rewrite_then_load)
+        with pytest.raises(ValidationError) as info:
+            ecml.load_features(path, "raw-binary")
+        assert str(info.value) == f"{path}: feature file changed while being read"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
