@@ -26,7 +26,7 @@ import numpy as np
 
 from ._linalg import fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
-from .features import FeatureMatrix, PairSet, PcaModel, _BinaryReader, _write_bytes
+from .features import FeatureMatrix, PairSet, PcaModel, _BinaryReader, _write_bytes, map_rows
 from .metrics import MetricModel, _beside, _release_free_heap, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
@@ -108,6 +108,10 @@ class StageModel:
     @property
     def width(self) -> int:
         return self.permutation.size
+
+    def replay(self, x) -> np.ndarray:
+        """The stage output for the rows of the array ``x``: a new, read-only array."""
+        return _map_groups(self, _shuffle(x, self.permutation)).data
 
 
 @dataclass(frozen=True)
@@ -348,13 +352,11 @@ def _check_input_dim(model: CascadeModel, features: FeatureMatrix):
         )
 
 
-def transform(model: CascadeModel, features: FeatureMatrix) -> FeatureMatrix:
-    """Replay the fitted stages; output lives in the final metric's space."""
+def transform(model: CascadeModel, features) -> FeatureMatrix:
+    """Replay the fitted stages on a ``FeatureMatrix`` or ``FeatureFile`` through ``map_rows``;
+    the output lives in the final metric's space."""
     _check_input_dim(model, features)
-    current = features
-    for stage in model.stages:
-        current = _map_groups(stage, _shuffle(current.data, stage.permutation))
-    return current
+    return map_rows(features, stages=model.stages)
 
 
 def cascade_distance(model: CascadeModel, x, y):

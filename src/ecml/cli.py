@@ -253,12 +253,12 @@ def cmd_eval(args):
 def cmd_transform(args):
     _require(args, "features", "output", "model")
     model, pca = casc.load_model(args.model)
-    # a raw-binary input is projected as it is read, never held whole
-    matrix = _features(args, stream=pca is not None)
-    if pca is not None:
-        matrix = feat.apply_pca(pca, matrix)
+    # a raw-binary input is mapped as it is read, never held whole
+    features = _features(args, stream=True)
+    if pca is None:
+        casc._check_input_dim(model, features)
     with _phase("transform"):
-        out = casc.transform(model, matrix)
+        out = feat.map_rows(features, pca, model.stages)
     feat.save_features(out, args.output, args.fmt)
     print(f"transformed: {args.output} ({out.count}x{out.dim})")
     return EXIT_OK

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import freeze_array, row_blocks
-from .cascade import CascadeModel, _check_input_dim, _quadratic_forms, transform
+from ._linalg import freeze_array
+from .cascade import CascadeModel, _check_input_dim, _quadratic_forms
 from .errors import ValidationError
 from .features import (
     FeatureFile,
@@ -24,17 +24,16 @@ from .features import (
     PcaModel,
     _check_pca_input,
     _parse_table,
-    _project,
     _read_rows,
     _write_lines,
+    map_rows,
 )
 from .metrics import SUB_ROWS, _differences
 
 DEFAULT_BINS = 100
-# Pairs per scored chunk (and per distance_fn call in score_pairs), and rows
-# per mapped block in evaluate. A constant, because BLAS picks its kernel by
-# row count: a pair scored alone can differ in the last bit from the same pair
-# scored in a larger block.
+# Pairs per scored chunk (and per distance_fn call in score_pairs). A
+# constant, because BLAS picks its kernel by row count: a pair scored alone
+# can differ in the last bit from the same pair scored in a larger block.
 SCORE_CHUNK = 256
 KL_SMOOTHING = 1e-10
 
@@ -127,12 +126,12 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
 
     ``features`` is a ``FeatureMatrix`` or a ``FeatureFile``, and ``pca``
     the model's PCA front end, if it has one. Only the rows the pairs
-    reference are read and mapped, each once, however many pairs it
-    appears in: through ``pca``, then the stages. A ``FeatureMatrix``
-    scored by a model with neither is scored as it is. The scores equal,
-    bit for bit, those of ``cascade_distance`` on ``SCORE_CHUNK``-pair row
-    blocks of the projected features. ``bins`` is checked before any row
-    is read.
+    reference are read, and ``map_rows`` maps each once, however many
+    pairs it appears in: through ``pca``, then the stages. A
+    ``FeatureMatrix`` scored by a model with neither is scored as it is.
+    The scores equal, bit for bit, those of ``cascade_distance`` on
+    ``SCORE_CHUNK``-pair row blocks of the projected features. ``bins`` is
+    checked before any row is read.
     """
     _check_bins(bins)
     if pca is not None:
@@ -142,33 +141,12 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
         _check_input_dim(model, features)
     if model.stages or pca is not None or not isinstance(features, FeatureMatrix):
         rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
-        x = _map_rows(model, pca, features.gather(rows, SCORE_CHUNK), rows.size)
+        x = map_rows(features, pca, model.stages, rows).data
         first, second = inverse[: len(pairs)], inverse[len(pairs) :]
     else:
         x, first, second = features.data, pairs.i, pairs.j
     scores = _score_chunks(x, first, second, model.final_metric.matrix)
     return build_report(ScoredPairs(scores=scores, labels=pairs.y), bins=bins)
-
-
-def _map_rows(model: CascadeModel, pca, blocks, count):
-    """``count`` gathered rows through ``pca`` (or None) and the stages, as one read-only array.
-
-    ``blocks`` yields ``(start, stop, rows)`` for each of
-    ``row_blocks(count, SCORE_CHUNK)``, as ``gather`` does; ``pca`` centers
-    them in place. Beside the output the call holds one projected block
-    and one block's stage temporaries; ``row_blocks`` keeps each row's bits
-    independent of the block it lands in.
-    """
-    out = np.empty((count, model.output_dim))
-    projected = None if pca is None else np.empty((min(count, SCORE_CHUNK + 1), pca.k))
-    for start, stop, block in blocks:
-        if pca is not None:
-            block = _project(pca, block, block, projected[: stop - start])
-        block = block.view()
-        block.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
-        out[start:stop] = transform(model, FeatureMatrix(block)).data
-    out.setflags(write=False)
-    return out
 
 
 def _score_chunks(x, first, second, m):

@@ -38,9 +38,9 @@ _HEADER_RE = re.compile(r"#\s*dim=(\d+)\s+count=(\d+)\s*$")
 
 FEATURE_FORMATS = ("csv", "raw-binary")
 
-# Rows centered and projected per block in apply_pca, which bounds its
-# temporary to this many rows (one more with a folded 1-row remainder)
-PCA_ROWS = 256
+# Rows per block of map_rows (one more with a folded 1-row remainder, see
+# row_blocks). It bounds the temporaries of mapping rows, never their bits.
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,21 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def gather(self, rows, size):
-        """Yield ``(start, stop, data[rows[start:stop]])`` for each of ``row_blocks(rows.size, size)``.
+    def blocks(self, size):
+        """Yield ``(start, stop, data[start:stop])`` for each of ``row_blocks(count, size)``.
 
-        ``rows`` must lie below ``count``. The blocks are copied into one
-        reused buffer, which the caller may overwrite and must be done with
-        before asking for the next block.
+        The rows are copied into one reused buffer, which the caller may
+        overwrite and must be done with before asking for the next block.
         """
-        bounds = row_blocks(rows.size, size)
-        buf = np.empty((max(stop - start for start, stop in bounds), self.dim))
-        for start, stop in bounds:
+        buf = np.empty((min(self.count, size + 1), self.dim))
+        for start, stop in row_blocks(self.count, size):
             block = buf[: stop - start]
-            # "clip" takes straight into ``out``, unbuffered; no index needs clipping
-            self.data.take(rows[start:stop], axis=0, out=block, mode="clip")
+            np.copyto(block, self.data[start:stop])
             yield start, stop, block
+
+    def gather(self, rows, size):
+        """As ``blocks``, of ``data[rows]``; ``rows`` are ascending, unique and below ``count``."""
+        return _pick(self, [(0, self.count, self.data)], rows, size)
 
 
 @dataclass(frozen=True)
@@ -392,9 +393,9 @@ def _identity(stat):
 class FeatureFile:
     """A raw-binary feature file whose header has been checked; its rows are read on demand.
 
-    Like a ``FeatureMatrix`` it has ``count``, ``dim`` and ``gather``, so
-    ``ecml.evaluate``, ``fit_pca`` and ``apply_pca`` take either, but it
-    holds no rows: each ``gather`` or ``load`` reads the file again, front
+    Like a ``FeatureMatrix`` it has ``count``, ``dim``, ``blocks`` and
+    ``gather``, so ``map_rows`` and ``fit_pca`` take either, but it holds no
+    rows: each ``blocks``, ``gather`` or ``load`` reads the file again, front
     to back. The file's identity (device, inode, size and modification
     time) is recorded at open, and every read rejects a file whose identity
     or header has changed since, so that no result mixes two versions of it.
@@ -420,38 +421,51 @@ class FeatureFile:
             data = cur.array((self.count, self.dim), "<f8", "features")
         return FeatureMatrix(data)
 
-    def gather(self, rows, size):
-        """Yield ``(start, stop, the file's rows[start:stop])`` for each of ``row_blocks(rows.size, size)``.
-
-        ``rows`` must be ascending, unique and below ``count``. The file is
-        read front to back ``size`` rows at a time through one buffer, and
-        every row read is checked finite, whether ``rows`` holds it or not;
-        the message names the row in the file. The blocks share one reused
-        buffer, as in ``FeatureMatrix.gather``.
-        """
-        bounds = row_blocks(rows.size, size)
-        n, d = self.count, self.dim
+    def blocks(self, size):
+        """As ``FeatureMatrix.blocks``; each block is read into the buffer and checked finite."""
         with self._reopen() as cur:
-            read = np.empty((min(n, size), d), dtype="<f8")
-            block = np.empty((max(stop - start for start, stop in bounds), d))
-            k, b = 0, 0  # next entry of rows to copy, and the block it belongs to
-            for first in range(0, n, size):
-                chunk = cur.fill(read[: min(size, n - first)], "features")
-                bad = _first_nonfinite(chunk)
+            buf = np.empty((min(self.count, size + 1), self.dim), dtype="<f8")
+            for start, stop in row_blocks(self.count, size):
+                block = cur.fill(buf[: stop - start], "features")
+                bad = _first_nonfinite(block)
                 if bad is not None:
                     raise ValidationError(
-                        f"non-finite feature value at row {first + bad[0]}, column {bad[1]}"
+                        f"non-finite feature value at row {start + bad[0]}, column {bad[1]}"
                     )
-                end = int(np.searchsorted(rows, first + chunk.shape[0]))  # rows[k:end] are here
-                while k < end:
-                    start, stop = bounds[b]
-                    upto = min(end, stop)
-                    chunk.take(rows[k:upto] - first, axis=0, out=block[k - start : upto - start],
-                               mode="clip")  # as in FeatureMatrix.gather
-                    k = upto
-                    if k == stop:
-                        yield start, stop, block[: stop - start]
-                        b += 1
+                yield start, stop, block
+
+    def gather(self, rows, size):
+        """As ``FeatureMatrix.gather``; every row is read and checked, picked or not."""
+        return _pick(self, self.blocks(size), rows, size)
+
+
+def _pick(source, chunks, rows, size):
+    """The ``gather`` of either source: its rows ``rows``, taken from its ``chunks``.
+
+    ``rows`` must be ascending, unique and below ``source.count``.
+    ``chunks`` yields ``(first, past, rows first..past-1)`` of the source
+    in order, and is read to its end.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or (rows[1:] <= rows[:-1]).any():
+        raise ValidationError("rows must be a 1-D array of ascending, unique row indices")
+    if rows.size and not 0 <= rows[0] <= rows[-1] < source.count:
+        raise ValidationError(f"rows {rows[0]}..{rows[-1]} out of range for {source.count} rows")
+    bounds = row_blocks(rows.size, size)
+    block = np.empty((min(rows.size, size + 1), source.dim))
+    k, b = 0, 0  # next entry of rows to copy, and the block it belongs to
+    for first, past, chunk in chunks:
+        end = int(np.searchsorted(rows, past))  # rows[k:end] are in this chunk
+        while k < end:
+            start, stop = bounds[b]
+            upto = min(end, stop)
+            # "clip" takes straight into ``out``, unbuffered; no index needs clipping
+            chunk.take(rows[k:upto] - first, axis=0, out=block[k - start : upto - start],
+                       mode="clip")
+            k = upto
+            if k == stop:
+                yield start, stop, block[: stop - start]
+                b += 1
 
 
 def save_pairs(pairs: PairSet, path) -> None:
@@ -516,27 +530,11 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
 
 
 def apply_pca(model: PcaModel, features: FeatureMatrix | FeatureFile) -> FeatureMatrix:
-    """Project rows onto the PCA basis: (x - mean) @ basis.
+    """(x - mean) @ basis for every row x, with the bits of one product over all rows.
 
-    Rows are centered and projected in ``row_blocks`` of ``PCA_ROWS`` into
-    one N x k output array, and the bits equal those of one product over
-    all rows. Beside the output the call holds one centered block; a
-    ``FeatureFile`` is read front to back through ``gather``, which adds
-    its read buffer of ``PCA_ROWS`` rows and the row indices.
+    Beside the N x k output, ``map_rows`` holds one buffer of ``ROW_BLOCK`` (+1) rows.
     """
-    _check_pca_input(model, features.dim)
-    n = features.count
-    out = np.empty((n, model.k))
-    if isinstance(features, FeatureFile):
-        for start, stop, block in features.gather(np.arange(n), PCA_ROWS):
-            _project(model, block, block, out[start:stop])
-    else:
-        x = features.data
-        centered = np.empty((min(n, PCA_ROWS + 1), features.dim))
-        for start, stop in row_blocks(n, PCA_ROWS):
-            _project(model, x[start:stop], centered[: stop - start], out[start:stop])
-    out.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
-    return FeatureMatrix(out)
+    return map_rows(features, pca=model)
 
 
 def _check_pca_input(model: PcaModel, dim):
@@ -544,15 +542,37 @@ def _check_pca_input(model: PcaModel, dim):
         raise ValidationError(f"feature dim {dim} does not match PCA input dim {model.input_dim}")
 
 
-def _project(model: PcaModel, x, centered, out):
-    """``(x - mean) @ basis`` of the rows of ``x`` into ``out``, returned.
+def map_rows(source, pca=None, stages=(), rows=None) -> FeatureMatrix:
+    """Rows of a ``FeatureMatrix`` or ``FeatureFile`` through ``pca``, then ``stages``.
 
-    The rows are centered into ``centered``, which may be ``x`` itself. A
-    row's bits do not depend on the other rows of the block, as long as the
-    block has more than one row (see ``row_blocks``).
+    ``rows`` (ascending, unique) picks the rows, by default all; ``stages``
+    are fitted cascade stages, each applied by its ``replay``. Each block
+    of ``ROW_BLOCK`` rows is centered in the source's ``blocks`` or
+    ``gather`` buffer and projected straight into the output when no stage
+    follows; ``row_blocks`` keeps a row's bits independent of its block. A
+    ``FeatureMatrix`` mapped through nothing is returned as it is.
     """
-    np.subtract(x, model.mean, out=centered)
-    return np.matmul(centered, model.basis, out=out)
+    if pca is None and not stages and rows is None and isinstance(source, FeatureMatrix):
+        return source
+    if pca is not None:
+        _check_pca_input(pca, source.dim)
+    if rows is None:
+        count, blocks = source.count, source.blocks(ROW_BLOCK)
+    else:
+        count, blocks = len(rows), source.gather(rows, ROW_BLOCK)
+    width = stages[-1].width if stages else source.dim if pca is None else pca.k
+    out = np.empty((count, width))
+    for start, stop, block in blocks:
+        target = out[start:stop]
+        if pca is not None:
+            np.subtract(block, pca.mean, out=block)
+            block = np.matmul(block, pca.basis, out=None if stages else target)
+        for stage in stages:
+            block = stage.replay(block)
+        if block is not target:
+            target[...] = block
+    out.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
+    return FeatureMatrix(out)
 
 
 # ---------------------------------------------------------------------------

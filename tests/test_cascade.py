@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import ecml
 from ecml.cascade import _fit_stage, _map_groups, _padded_width, _shuffle, _sqrt_norm
 from ecml.errors import SingularCovariance, ValidationError
+from ecml.features import ROW_BLOCK
 
 from conftest import clustered_problem
 from sweep import split_pairs
@@ -29,6 +30,18 @@ def fit_stage(feats, pairs, n_groups, learner, rng):
 
 def identity_learner(stats):
     return ecml.MetricModel(matrix=np.eye(stats.dim), learner="fixed-identity")
+
+
+def random_learner(stats):
+    """A symmetric metric drawn from the width alone, so that every product has nontrivial bits."""
+    a = np.random.default_rng(stats.dim).normal(size=(stats.dim, stats.dim))
+    return ecml.MetricModel(matrix=a + a.T, learner="fixed-random")
+
+
+def random_stage(rng, width, groups):
+    g = width // groups
+    projections = tuple(ecml.Projection(rng.normal(size=(g, g)) / g, 0) for _ in range(groups))
+    return ecml.StageModel(rng.permutation(width), projections)
 
 
 @pytest.fixture
@@ -441,6 +454,55 @@ class TestTransformAndDistance:
         # compared as bit patterns, so a +0.0 / -0.0 mismatch fails too
         assert (want == 0.0).any()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    def test_block_replay_equals_training_stage_output_bitwise(self, rng, monkeypatch, n):
+        # transform replays ROW_BLOCK rows at a time, fit_cascade maps the
+        # whole matrix at once; the bits must agree, a 1-row block included
+        data = rng.normal(size=(n, 40))
+        feats = ecml.FeatureMatrix(data)
+        seen = []
+        real_stats = ecml.cascade.accumulate_stats
+
+        def recording_stats(features, pairs):
+            seen.append(features.data)
+            return real_stats(features, pairs)
+
+        if n > 1:  # a pair needs two samples, so one row cannot be fitted
+            monkeypatch.setattr(ecml.cascade, "accumulate_stats", recording_stats)
+            i = np.arange(max(n - 1, 2)) % (n - 1)
+            pairs = ecml.PairSet(i, i + 1, np.arange(i.size) % 2)
+            model = ecml.fit_cascade(feats, pairs, 2, random_learner, seed=4)
+            monkeypatch.undo()
+        else:
+            model = ecml.CascadeModel(
+                (random_stage(rng, 40, 4), random_stage(rng, 40, 2)),
+                ecml.MetricModel(np.eye(40), "rmml"), 40, 0,
+            )
+        got = ecml.transform(model, feats).data
+        want = data  # the stages replayed on the whole matrix at once
+        for stage in model.stages:
+            want = _map_groups(stage, _shuffle(want, stage.permutation)).data
+        assert got.tobytes() == want.tobytes()
+        if n > 1:
+            assert got.tobytes() == seen[-1].tobytes()
+
+    def test_transform_peak_is_output_plus_one_block(self, rng):
+        n, dim = 3000, 256
+        model = ecml.CascadeModel(
+            (random_stage(rng, dim, 4), random_stage(rng, dim, 2)),
+            ecml.MetricModel(np.eye(dim), "rmml"), dim, 0,
+        )
+        feats = ecml.FeatureMatrix(rng.normal(size=(n, dim)))
+        tracemalloc.start()
+        try:
+            ecml.transform(model, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the output: the block buffer, the previous stage's output,
+        # its shuffled successor and the group block, each ROW_BLOCK (+1) rows
+        assert peak <= 8 * (n * dim + 4 * (ROW_BLOCK + 1) * dim) + 2**16
 
     def test_dim_mismatch(self):
         feats, _, pairs = clustered_problem(seed=17, dim=8)

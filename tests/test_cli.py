@@ -577,7 +577,7 @@ def streamed(tmp_path_factory):
     ecml.save_features(feats, work / "f.csv")
     assert cli.main(["pairs", "--labels", str(l), "--count", "400", "--seed", "8",
                      "--pairs", str(work / "p.csv")]) == 0
-    # 257 referenced rows, one past a block of SCORE_CHUNK
+    # 257 referenced rows, one past a block of ROW_BLOCK
     labels = ecml.load_labels(l)
     rows = np.arange(257) + 50
     ecml.save_pairs(ecml.PairSet(rows, np.roll(rows, -1), labels[rows] == labels[np.roll(rows, -1)]),
@@ -861,12 +861,13 @@ class TestTransform:
         assert np.array_equal(got.data, expected.data)
 
 
-    def test_raw_binary_input_streams_through_pca(self, workspace, capsys, monkeypatch):
+    @pytest.mark.parametrize("pca", [["--pca-dim", "8"], []], ids=["pca", "no-pca"])
+    def test_raw_binary_input_streams_through_pca(self, workspace, capsys, monkeypatch, pca):
         run(
             capsys,
             "fit", "--features", str(workspace / "f.csv"),
             "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "mp.ecml"),
-            "--pca-dim", "8", "--cascade", "--stages", "1", "--seed", "2",
+            *pca, "--cascade", "--stages", "1", "--seed", "2",
         )
         ecml.save_features(ecml.load_features(workspace / "f.csv"), workspace / "f.bin",
                            "raw-binary")

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import ecml
 from ecml.errors import ValidationError
 from ecml.evaluation import SCORE_CHUNK
+from ecml.features import ROW_BLOCK
 
 from conftest import brute_force_eer, clustered_problem
 
@@ -134,7 +135,7 @@ def _last_chunk_of_one(feats, labels, pairs, model):
 
 
 def _rows_one_past_block(feats, labels, pairs, model):
-    return model, feats, chain_pairs(labels, np.arange(SCORE_CHUNK + 1) + 40)
+    return model, feats, chain_pairs(labels, np.arange(ROW_BLOCK + 1) + 40)
 
 
 def _two_chunks_and_37(feats, labels, pairs, model):
@@ -167,7 +168,7 @@ class TestEvaluate:
     def test_case_shapes(self, cascade_problem):
         # the cases above reach the block edges they are named for
         _, _, pairs = _rows_one_past_block(*cascade_problem)
-        assert np.unique(np.concatenate([pairs.i, pairs.j])).size % SCORE_CHUNK == 1
+        assert np.unique(np.concatenate([pairs.i, pairs.j])).size % ROW_BLOCK == 1
         _, _, pairs = _last_chunk_of_one(*cascade_problem)
         assert len(pairs) % SCORE_CHUNK == 1
         _, features, pairs = _pca_row_subset(*cascade_problem)
@@ -277,7 +278,7 @@ class TestEvaluate:
         used = np.unique(np.concatenate([i, j])).size
         # the read buffer, the gathered block, the projected block and the
         # stage temporaries of one mapped block, each at most 257 rows
-        blocks = 5 * (SCORE_CHUNK + 1) * dim * 8
+        blocks = 5 * (ROW_BLOCK + 1) * dim * 8
         base = peak(rows)
         assert base <= used * k * 8 + blocks + 2**20
         # four times as many rows that no pair references (3 MB more file)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ecml
 from ecml.cascade import _shuffle
 from ecml.errors import ValidationError
-from ecml.features import PCA_ROWS
+from ecml.features import ROW_BLOCK
 
 
 class TestFeatureMatrix:
@@ -231,6 +231,28 @@ def test_file_gather_matches_matrix_gather(tmp_path_factory, data, n, size):
         assert g.tobytes() == m.data[rows[a:b]].tobytes() == w.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["matrix", "file"])
+@pytest.mark.parametrize("rows, error", [
+    ([5], r"rows 5\.\.5 out of range for 3 rows"),
+    ([0, 7], r"rows 0\.\.7 out of range for 3 rows"),
+    ([-1, 2], r"rows -1\.\.2 out of range for 3 rows"),
+    ([2, 1], "ascending, unique"),
+    ([1, 1], "ascending, unique"),
+    ([], None),
+])
+def test_gather_checks_rows(tmp_path, kind, rows, error):
+    m = ecml.FeatureMatrix(np.arange(6.0).reshape(3, 2))
+    source = m
+    if kind == "file":
+        ecml.save_features(m, tmp_path / "f.bin", "raw-binary")
+        source = ecml.FeatureFile(tmp_path / "f.bin")
+    if error is None:
+        assert list(source.gather(rows, 4)) == []
+    else:
+        with pytest.raises(ValidationError, match=error):
+            list(source.gather(rows, 4))
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), fmt=st.sampled_from(["csv", "raw-binary"]))
 def test_feature_roundtrip_bitwise(tmp_path_factory, seed, fmt):
@@ -350,7 +372,7 @@ class TestPca:
         assert model.basis.tobytes() == want.basis.tobytes()
 
     @pytest.mark.parametrize(
-        "n", [1, 2, PCA_ROWS, PCA_ROWS + 1, 2 * PCA_ROWS + 1, 2 * PCA_ROWS + 2]
+        "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
     )
     def test_apply_to_file_equals_apply_to_matrix_bitwise(self, tmp_path, rng, n):
         feats = ecml.FeatureMatrix(rng.normal(size=(n, 96)))
@@ -384,9 +406,9 @@ class TestPca:
         finally:
             tracemalloc.stop()
         # plus the fixed buffer numpy's subtract uses to broadcast the mean
-        assert peak <= 8 * (n * k + (PCA_ROWS + 1) * d + np.getbufsize()) + 4096
+        assert peak <= 8 * (n * k + (ROW_BLOCK + 1) * d + np.getbufsize()) + 4096
 
-    @pytest.mark.parametrize("n", [1, 2, 2 * PCA_ROWS, 2 * PCA_ROWS + 1, 2 * PCA_ROWS + 2])
+    @pytest.mark.parametrize("n", [1, 2, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
     def test_blocked_projection_equals_one_product_bitwise(self, rng, n):
         # a 1-row remainder alone would be a matrix-vector product, which
         # rounds differently; it is projected with the block before it
