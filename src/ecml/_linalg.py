@@ -1,4 +1,6 @@
-"""Small array helpers shared by the feature and cascade modules."""
+"""Small array helpers shared by the feature and cascade modules, and heap release."""
+
+import functools
 
 import numpy as np
 
@@ -77,3 +79,26 @@ def fix_column_signs(q, tol=1e-12):
     lead = q[lead_rows, np.arange(q.shape[1])]
     signs = np.where(lead < 0.0, -1.0, 1.0)
     return q * signs
+
+
+@functools.cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def _release_free_heap():
+    """Hand the pages of free heap blocks back to the OS; a no-op without glibc.
+
+    It lives here, not in ``metrics``, so that ``features`` (which
+    ``metrics`` imports) can call it without an import cycle; ``metrics``
+    imports the name, and ``accumulate_stats`` calls it through that module.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)

@@ -18,16 +18,17 @@ stage outputs bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import fix_column_signs, freeze_array, symmetrize
+from ._linalg import _release_free_heap, fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
 from .features import FeatureMatrix, PairSet, PcaModel, _BinaryReader, _write_bytes, map_rows
-from .metrics import MetricModel, _beside, _release_free_heap, accumulate_stats
+from .metrics import MetricModel, _beside, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
 DEFAULT_STAGES = 3
@@ -160,8 +161,10 @@ class CascadeModel:
 
 
 def _check_seed(seed):
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed must lie in [0, 2**64) to fit the model file, got {seed}")
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValidationError(
+            f"seed must be an integer in [0, 2**64) to fit the model file, got {seed}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +309,10 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     reference to the input, so the previous stage's output (and the
     caller's matrix, if the caller holds no reference) is freed before the
     stage's first stats call. Each stage ends by handing the free heap back
-    to the OS, as each ``accumulate_stats`` call does.
+    to the OS, as each ``accumulate_stats`` call does. The stages' shuffles
+    are drawn from one ``numpy.random`` generator seeded with ``seed``; with
+    0 stages no generator is created, and the seed is only checked and
+    recorded in the model.
     """
     if stage_count < 0:
         raise ValidationError(f"stage count must be >= 0, got {stage_count}")
@@ -317,11 +323,12 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
             f"got {features.dim}"
         )
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
     stages = []
     input_dim = features.dim
     current, features = features, None
     counts = group_counts(stage_count) if stage_count else []
+    # 0 stages draw nothing, so they neither create an RNG nor import numpy.random
+    rng = np.random.default_rng(seed) if counts else None
     for s, n_groups in enumerate(counts):
         perm = rng.permutation(_padded_width(current.dim, n_groups))
         shuffled, current = _shuffle(current.data, perm), None

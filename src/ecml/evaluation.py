@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import freeze_array
+from ._linalg import _release_free_heap, freeze_array
 from .cascade import CascadeModel, _check_input_dim, _quadratic_forms
 from .errors import ValidationError
 from .features import (
@@ -131,7 +131,8 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
     ``FeatureMatrix`` scored by a model with neither is scored as it is.
     The scores equal, bit for bit, those of ``cascade_distance`` on
     ``SCORE_CHUNK``-pair row blocks of the projected features. ``bins`` is
-    checked before any row is read.
+    checked before any row is read. Before mapping the rows, the free heap
+    (left by imports and by loading the model) is handed back to the OS.
     """
     _check_bins(bins)
     if pca is not None:
@@ -141,6 +142,9 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
         _check_input_dim(model, features)
     if model.stages or pca is not None or not isinstance(features, FeatureMatrix):
         rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
+        # the mapped rows and the stages' block temporaries set the eval's
+        # peak; they then grow RSS from a heap holding only live arrays
+        _release_free_heap()
         x = map_rows(features, pca, model.stages, rows).data
         first, second = inverse[: len(pairs)], inverse[len(pairs) :]
     else:
@@ -171,8 +175,14 @@ def _score_chunks(x, first, second, m):
 
 
 def _operating_points(scored: ScoredPairs):
-    """FAR/FRR step values at every distinct score, thresholds ascending."""
-    thresholds = np.unique(scored.scores)
+    """FAR/FRR step values at every distinct score, thresholds ascending.
+
+    Of scores that compare equal (-0.0 and 0.0), the threshold takes the
+    first in pair order.
+    """
+    # return_index makes unique sort stably, and keeps it off the path that
+    # imports numpy.ma on first use
+    thresholds = np.unique(scored.scores, return_index=True)[0]
     pos = np.sort(scored.pos)
     neg = np.sort(scored.neg)
     far = np.searchsorted(neg, thresholds, side="left") / neg.size

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import fix_column_signs, freeze_array, row_blocks
+from ._linalg import _release_free_heap, fix_column_signs, freeze_array, row_blocks
 from .errors import NumericalError, ValidationError
 
 FEATURE_MAGIC = b"CMF1"
@@ -500,8 +500,13 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
     freed once the N x D centered copy is made; the centered copy is freed,
     and the covariance scaled in place, before ``eigh`` allocates its own
     workspace. During ``eigh`` the call then holds the D x D covariance and
-    the mean, and nothing N x D; a ``FeatureMatrix`` stays held by its
-    caller. The model's bits are the same for either input.
+    the mean beside ``eigh``'s own workspace and output, and nothing N x D;
+    a ``FeatureMatrix`` stays held by its caller. The basis is built in one
+    D x k copy, which ``PcaModel`` keeps uncopied. The covariance and the
+    eigendecomposition are then freed and the free heap handed back to the
+    OS before the call returns, so the steps after it grow RSS from a heap
+    holding only live arrays. The model's bits are the same for either
+    input.
     """
     n, d = features.count, features.dim
     kmax = min(n - 1, d)
@@ -522,7 +527,10 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"covariance eigendecomposition failed: {exc}") from exc
     order = np.argsort(evals)[::-1][:k]
-    basis = fix_column_signs(evecs[:, order])
+    # take gives a C-contiguous array, evecs[:, order] would not
+    basis = fix_column_signs(evecs.take(order, axis=1))
+    del cov, evals, evecs
+    _release_free_heap()
     # read-only, so that PcaModel keeps them uncopied
     mean.setflags(write=False)
     basis.setflags(write=False)

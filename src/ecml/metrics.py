@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import freeze_array, is_symmetric, symmetrize
+from ._linalg import _release_free_heap, freeze_array, is_symmetric, symmetrize
 from .errors import DegenerateStats, SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
 
@@ -197,24 +197,6 @@ def _beside(fn, *args, name):
         helper.join()
     if errors:
         raise errors[0]
-
-
-@functools.cache
-def _malloc_trim():
-    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
-    import ctypes
-
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
-def _release_free_heap():
-    """Hand the pages of free heap blocks back to the OS; a no-op without glibc."""
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
 
 
 def _class_buffers(x, pairs, label):

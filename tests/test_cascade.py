@@ -2,11 +2,15 @@
 
 import builtins
 import itertools
+import os
 import struct
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,11 +403,13 @@ class TestFitCascade:
         with pytest.raises(ValidationError, match=r"2\*\*5 input dimensions, got 16"):
             ecml.fit_cascade(feats, pairs, 5, ecml.make_learner("rmml", 0.1), seed=0)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
     def test_seed_outside_model_format_fails_before_fitting(self, no_fitting, seed):
         feats, _, pairs = clustered_problem(seed=12, dim=8)
-        with pytest.raises(ValidationError, match=r"2\*\*64"):
-            ecml.fit_cascade(feats, pairs, 1, ecml.make_learner("rmml", 0.1), seed=seed)
+        # a 0-stage fit draws nothing, so no generator rejects the seed for it
+        for stages in (0, 1):
+            with pytest.raises(ValidationError, match=r"2\*\*64"):
+                ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=seed)
 
     def test_stage_failure_carries_stage_index(self):
         feats, _, pairs = clustered_problem(seed=13, dim=10)
@@ -426,6 +432,46 @@ class TestFitCascade:
         assert np.array_equal(a.final_metric.matrix, b.final_metric.matrix)
         for sa, sb in zip(a.stages, b.stages):
             assert np.array_equal(sa.permutation, sb.permutation)
+
+
+# Fits 0 stages plus plain rmml from saved inputs and writes the model; with
+# "block" as its last argument, importing numpy.random fails in the child.
+_ZERO_STAGE_FIT = """
+import sys
+if sys.argv[-1] == "block":
+    sys.modules["numpy.random"] = None
+import numpy as np
+import ecml
+
+work = sys.argv[1]
+feats = ecml.load_features(work + "/f.bin", "raw-binary")
+pairs = ecml.load_pairs(work + "/p.csv")
+model = ecml.fit_cascade(feats, pairs, 0, ecml.make_learner("rmml", 0.5), seed=7)
+ecml.save_model(model, work + "/" + sys.argv[-1] + ".ecml")
+try:
+    np.random
+except ImportError:
+    print("numpy.random blocked")
+"""
+
+
+def test_zero_stage_fit_needs_no_numpy_random(tmp_path):
+    feats, _, pairs = clustered_problem(seed=10)
+    ecml.save_features(feats, tmp_path / "f.bin", "raw-binary")
+    ecml.save_pairs(pairs, tmp_path / "p.csv")
+    # one BLAS thread in both children: model bytes differ between thread counts
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    src = str(Path(ecml.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", _ZERO_STAGE_FIT, str(tmp_path), mode],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        for mode in ("plain", "block")
+    ]
+    assert outs == ["", "numpy.random blocked\n"]
+    assert (tmp_path / "block.ecml").read_bytes() == (tmp_path / "plain.ecml").read_bytes()
 
 
 class TestTransformAndDistance:

@@ -1080,3 +1080,59 @@ class TestGoldenPcaModelBytes:
         ).stdout
         hashes = [line.split()[1] for line in out.splitlines() if line.startswith("sha256 ")]
         assert hashes == ["a166c6055b58ddaef0af752ba7d60b5134b153bbcd4b666b785cd5d550fca2f7"] * 2
+
+
+# Runs one ecml command in a fresh interpreter and prints its exit code and
+# which of numpy's lazily imported submodules it loaded.
+_LOADED_SUBMODULES = """
+import sys
+from ecml import cli
+
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("loaded", code, *sorted(m for m in ("numpy.random", "numpy.ma") if m in sys.modules))
+"""
+
+
+class TestImportHygiene:
+    """numpy.random and numpy.ma load on first use; a command needing neither loads neither."""
+
+    def loaded(self, *argv):
+        env = dict(os.environ)
+        src = str(Path(ecml.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _LOADED_SUBMODULES, *argv],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        ).stdout
+        code, *modules = out.splitlines()[-1].split()[1:]
+        assert code == "0"
+        return modules
+
+    def fit_args(self, work, model, *flags):
+        return ("fit", "--features", str(work / "f.csv"), "--pairs", str(work / "p.csv"),
+                "--model", str(work / model), *flags)
+
+    def test_import_loads_neither(self):
+        assert self.loaded() == []
+
+    def test_eval_loads_no_numpy_ma(self, workspace, capsys):
+        code, _, _ = run(capsys, *self.fit_args(workspace, "m.ecml", "--cascade", "--stages", "2"))
+        assert code == 0
+        modules = self.loaded(
+            "eval", "--model", str(workspace / "m.ecml"), "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--report", str(workspace / "rep.txt"),
+        )
+        assert modules == []
+
+    def test_stage_free_pca_fit_loads_no_numpy_random(self, workspace):
+        modules = self.loaded(
+            *self.fit_args(workspace, "m.ecml", "--learner", "kissme", "--no-cascade",
+                           "--pca-dim", "8")
+        )
+        assert modules == []
+
+    def test_cascade_fit_loads_numpy_random(self, workspace):
+        # the stages draw their shuffles from it: a probe that never saw it
+        # load would pass the two tests above vacuously
+        modules = self.loaded(*self.fit_args(workspace, "m.ecml", "--cascade", "--stages", "2"))
+        assert modules == ["numpy.random"]

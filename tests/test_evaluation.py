@@ -174,6 +174,19 @@ class TestEvaluate:
         _, features, pairs = _pca_row_subset(*cascade_problem)
         assert np.unique(np.concatenate([pairs.i, pairs.j])).size < features.count
 
+    def test_free_heap_released_before_rows_are_mapped(self, cascade_problem, monkeypatch):
+        # the mapped rows and the stages' block temporaries set the eval's
+        # peak RSS; they grow it from a heap holding only live arrays
+        feats, _, pairs, model = cascade_problem
+        calls = []
+        real_map = ecml.evaluation.map_rows
+        monkeypatch.setattr(ecml.evaluation, "_release_free_heap", lambda: calls.append("release"))
+        monkeypatch.setattr(
+            ecml.evaluation, "map_rows", lambda *args: calls.append("map") or real_map(*args)
+        )
+        ecml.evaluate(model, feats, pairs)
+        assert calls == ["release", "map"]
+
     def test_lone_pair_matches_reference(self, cascade_problem):
         feats, _, pairs, model = cascade_problem
         x, a, b = feats.data, int(pairs.i[0]), int(pairs.j[0])
@@ -407,6 +420,15 @@ class TestReport:
         report = ecml.build_report(sp, bins=20)
         far = report.roc[:, 1]
         assert (np.diff(far) <= 1e-12).all()
+
+    @pytest.mark.parametrize("first_zero", [-0.0, 0.0])
+    def test_signed_zero_tie_threshold_is_first_in_pair_order(self, first_zero):
+        # -0.0 == 0.0, so the two are one threshold; eleven zeros are enough
+        # for a hash-based unique to keep the later sign
+        zeros = [first_zero] + [-first_zero] * 10
+        report = ecml.build_report(scored(zeros[:6] + [1.0, 2.0], zeros[6:] + [3.0, 4.0]))
+        assert report.roc[:, 0].tolist() == [4.0, 3.0, 2.0, 1.0, 0.0]
+        assert np.signbit(report.roc[-1, 0]) == np.signbit(first_zero)
 
     def test_degenerate_report(self):
         report = ecml.build_report(scored([1.0, 1.0], [1.0]))

@@ -371,6 +371,32 @@ class TestPca:
         assert model.mean.tobytes() == want.mean.tobytes()
         assert model.basis.tobytes() == want.basis.tobytes()
 
+    def test_basis_built_in_one_copy_held_by_model(self, rng, monkeypatch):
+        built = []
+        real_fix = ecml.features.fix_column_signs
+        monkeypatch.setattr(
+            ecml.features, "fix_column_signs", lambda q: built.append(real_fix(q)) or built[-1]
+        )
+        model = ecml.fit_pca(ecml.FeatureMatrix(rng.normal(size=(200, 32))), 8)
+        assert len(built) == 1 and built[0].flags.c_contiguous
+        assert np.shares_memory(model.basis, built[0])
+
+    def test_heap_released_once_eigendecomposition_freed(self, rng, monkeypatch):
+        n, d, k = 2000, 64, 8
+        live = []
+        monkeypatch.setattr(
+            ecml.features, "_release_free_heap",
+            lambda: live.append(tracemalloc.get_traced_memory()[0]),
+        )
+        feats = ecml.FeatureMatrix(rng.normal(size=(n, d)))
+        tracemalloc.start()
+        try:
+            ecml.fit_pca(feats, k)
+        finally:
+            tracemalloc.stop()
+        # only the mean and the D x k basis: no D x D covariance or eigenvectors
+        assert len(live) == 1 and live[0] < 8 * (d + d * k) + 4096
+
     @pytest.mark.parametrize(
         "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
     )
