@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numbers
 import struct
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from ._linalg import _release_free_heap, fix_column_signs, freeze_array, symmetrize
 from .errors import NumericalError, ValidationError
 from .features import FeatureMatrix, PairSet, PcaModel, _BinaryReader, _write_bytes, map_rows
-from .metrics import MetricModel, _beside, accumulate_stats
+from .metrics import MetricModel, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
 DEFAULT_STAGES = 3
@@ -205,10 +204,14 @@ def _sqrt_norm(arr):
     return np.sign(arr) * np.sqrt(np.abs(arr))
 
 
+def _check_stage_count(stage_count, least):
+    if not (isinstance(stage_count, numbers.Integral) and stage_count >= least):
+        raise ValidationError(f"stage count must be an integer >= {least}, got {stage_count}")
+
+
 def group_counts(stage_count: int) -> list[int]:
     """Ensemble group counts per stage: 2**L, 2**(L-1), ..., 2."""
-    if stage_count < 1:
-        raise ValidationError(f"stage count must be >= 1, got {stage_count}")
+    _check_stage_count(stage_count, 1)
     return [2 ** (stage_count - l + 1) for l in range(1, stage_count + 1)]
 
 
@@ -225,21 +228,6 @@ def _shuffle(x, perm):
     return x.take(perm, axis=1)
 
 
-def _map_group(shuffled, g, p, block):
-    """Map group ``g`` of ``shuffled`` through ``p`` and sqrt-normalize it, in place.
-
-    The product lands in ``block`` (one row per sample, one column per group
-    dimension) and goes back into the group's columns ``SQRT_ROWS`` rows at a
-    time, so the only arrays allocated are ``_sqrt_norm``'s row-block
-    temporaries.
-    """
-    cols = slice(g * p.shape[0], (g + 1) * p.shape[0])
-    np.matmul(shuffled[:, cols], p, out=block)
-    for start in range(0, block.shape[0], SQRT_ROWS):
-        rows = slice(start, start + SQRT_ROWS)
-        shuffled[rows, cols] = _sqrt_norm(block[rows])
-
-
 def _stage_output(shuffled):
     """The fully mapped ``shuffled`` as features, marked read-only so none are copied."""
     shuffled.setflags(write=False)
@@ -249,28 +237,33 @@ def _stage_output(shuffled):
 def _map_groups(stage: StageModel, shuffled) -> FeatureMatrix:
     """Map and sqrt-normalize ``shuffled`` in place, group by group.
 
+    Each group's product lands in one N x (D/G) ``block`` and goes back into
+    the group's columns ``SQRT_ROWS`` rows at a time, so the only other
+    arrays allocated are ``_sqrt_norm``'s row-block temporaries.
     ``shuffled`` is overwritten and returned read-only inside the result, so
     callers pass a fresh matrix (as ``_shuffle`` makes) that nothing else uses.
     """
-    block = np.empty((shuffled.shape[0], stage.group_dim))
+    gdim = stage.group_dim
+    block = np.empty((shuffled.shape[0], gdim))
     for g, proj in enumerate(stage.projections):
-        _map_group(shuffled, g, proj.p, block)
+        cols = slice(g * gdim, (g + 1) * gdim)
+        np.matmul(shuffled[:, cols], proj.p, out=block)
+        for start in range(0, block.shape[0], SQRT_ROWS):
+            rows = slice(start, start + SQRT_ROWS)
+            shuffled[rows, cols] = _sqrt_norm(block[rows])
     return _stage_output(shuffled)
 
 
 def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     """Fit one ensemble stage on its input padded and shuffled by ``perm``.
 
-    Returns (StageModel, stage output features); ``shuffled``, as ``_shuffle``
-    makes it, is mapped in place and becomes the output. Each group's columns
-    are copied into one N x (D/G) ``block``, allocated here once, and summed
+    Returns (StageModel, stage output features). Each group's columns are
+    copied into one N x (D/G) ``block``, allocated here once, and summed
     through a read-only view of it, which the checked ``FeatureMatrix``
-    constructor keeps uncopied. Once group g's stats are summed, its columns
-    are no longer read, so group g - 1 is mapped in place through ``block``
-    on a helper thread while this thread runs group g's learner and ``mcd``;
-    the helper is joined before group g + 1 is copied into ``block``.
-    Every call the tracer wraps, and numpy's eigen solvers within them, stays
-    on this thread in group order, because the tracer keeps one span stack.
+    constructor keeps uncopied; the group's learner and ``mcd`` then run on
+    those stats. Once every group is fitted, ``shuffled``, as ``_shuffle``
+    makes it, is mapped in place by ``_map_groups``, the code that replays
+    the stage, and becomes the output.
     """
     gdim = perm.size // n_groups
     block = np.empty((shuffled.shape[0], gdim))
@@ -280,20 +273,17 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     for g in range(n_groups):
         np.copyto(block, shuffled[:, g * gdim : (g + 1) * gdim])
         stats = accumulate_stats(FeatureMatrix(group), pairs)
-        mapping = (
-            _beside(_map_group, shuffled, g - 1, projections[-1].p, block, name="ecml-stage-map")
-            if g else nullcontext()
-        )
-        with mapping:
-            try:
-                model = learner(stats)
-            except NumericalError as exc:
-                failure = type(exc)(f"ensemble group {g} of {n_groups}: {exc}")
-                failure.group_index = g
-                raise failure from exc
-            projections.append(mcd(model.matrix))
-    _map_group(shuffled, n_groups - 1, projections[-1].p, block)
-    return StageModel(perm, tuple(projections)), _stage_output(shuffled)
+        try:
+            model = learner(stats)
+        except NumericalError as exc:
+            failure = type(exc)(f"ensemble group {g} of {n_groups}: {exc}")
+            failure.group_index = g
+            raise failure from exc
+        projections.append(mcd(model.matrix))
+    # freed before _map_groups allocates its own block
+    del block, group
+    stage = StageModel(perm, tuple(projections))
+    return stage, _map_groups(stage, shuffled)
 
 
 def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, seed) -> CascadeModel:
@@ -314,8 +304,7 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     0 stages no generator is created, and the seed is only checked and
     recorded in the model.
     """
-    if stage_count < 0:
-        raise ValidationError(f"stage count must be >= 0, got {stage_count}")
+    _check_stage_count(stage_count, 0)
     # more stage-0 groups than input dimensions leave groups of pure padding
     if stage_count >= features.dim.bit_length():
         raise ValidationError(

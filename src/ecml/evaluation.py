@@ -9,6 +9,7 @@ above t, so a score exactly at the threshold penalizes neither side.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -216,6 +217,8 @@ def _eer(thresholds, far, frr) -> EerResult:
 
 
 def _check_bins(bins):
+    if not isinstance(bins, numbers.Integral):
+        raise ValidationError(f"bins must be an integer, got {bins}")
     if bins < 1:
         raise ValidationError(f"bins must be >= 1, got {bins}")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import re
 import struct
@@ -669,8 +670,8 @@ def _unrank(counts, ranks):
 
 
 def _rng(seed):
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
     return np.random.default_rng(seed)
 
 

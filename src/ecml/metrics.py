@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,14 +138,14 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     whole class. The chunk size is therefore part of the determinism
     contract for model bytes.
 
-    The matched class is summed on a worker thread (``_beside``) while the
-    calling thread sums the unmatched one. Each keeps its own chunk order,
-    so the result is the same to the bit as summing them one after the
-    other. How the two threads' small allocations interleave differs from
-    run to run, and with it which freed heap blocks stay resident; handing
-    the free heap back to the OS once the class buffers are freed
-    (``_release_free_heap``) keeps the fit's peak RSS the same from run to
-    run.
+    The matched class is summed on a worker thread (see
+    ``_concurrent_class_sums``) while the calling thread sums the unmatched
+    one. Each keeps its own chunk order, so the result is the same to the
+    bit as summing them one after the other. How the two threads' small
+    allocations interleave differs from run to run, and with it which freed
+    heap blocks stay resident; handing the free heap back to the OS once the
+    class buffers are freed (``_release_free_heap``) keeps the fit's peak RSS
+    the same from run to run.
     """
     # must come first: _class_sum gathers with mode="clip", which would
     # silently clamp an out-of-range index instead of raising
@@ -160,7 +159,13 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
 
 
 def _concurrent_class_sums(x, pairs):
-    """(pair count, sum of d d^T) for the matched and then the unmatched class."""
+    """(pair count, sum of d d^T) for the matched and then the unmatched class.
+
+    The matched class is summed on one worker thread while this thread sums
+    the unmatched one. The worker is joined whether or not this thread's sum
+    raised. An exception raised in the worker is re-raised here, unless this
+    thread raised one of its own, which then propagates instead.
+    """
     # every array either loop touches is allocated here, before the worker
     # starts, and the loops allocate no arrays: a worker's own malloc arena
     # cannot reuse heap that earlier stages freed, and large allocations made
@@ -168,35 +173,23 @@ def _concurrent_class_sums(x, pairs):
     # depends on how the threads interleave
     pos = _class_buffers(x, pairs, 1)
     neg = _class_buffers(x, pairs, 0)
-    with _beside(_class_sum, x, *pos, name="ecml-matched-stats"):
-        _class_sum(x, *neg)
-    return [(first.size, total) for first, *_, total, _ in (pos, neg)]
-
-
-@contextmanager
-def _beside(fn, *args, name):
-    """Run ``fn(*args)`` on one helper thread while the ``with`` block runs on this one.
-
-    The helper is joined when the block exits, whether or not the block
-    raised. An exception raised in the helper is re-raised here, unless the
-    block raised one of its own, which then propagates instead.
-    """
     errors = []
 
-    def run():
+    def matched():
         try:
-            fn(*args)
+            _class_sum(x, *pos)
         except BaseException as exc:  # re-raised on the calling thread below
             errors.append(exc)
 
-    helper = threading.Thread(target=run, name=name)
-    helper.start()
+    worker = threading.Thread(target=matched, name="ecml-matched-stats")
+    worker.start()
     try:
-        yield
+        _class_sum(x, *neg)
     finally:
-        helper.join()
+        worker.join()
     if errors:
         raise errors[0]
+    return [(first.size, total) for first, *_, total, _ in (pos, neg)]
 
 
 def _class_buffers(x, pairs, label):

@@ -7,7 +7,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -228,7 +227,8 @@ class TestFitStage:
 
 
 class TestStageOverlap:
-    """Group g - 1 is mapped on a helper thread while group g's learner and mcd run."""
+    """Each group's stats, learner and mcd run on the calling thread, in group order;
+    the stage is mapped once every group is fitted."""
 
     def test_traced_calls_stay_on_calling_thread_in_group_order(self, monkeypatch):
         feats, _, pairs = clustered_problem(seed=21, dim=16)
@@ -290,26 +290,11 @@ class TestStageOverlap:
     def test_learner_failure_mid_stage_keeps_indices_and_joins_helper(self, monkeypatch):
         feats, _, pairs = clustered_problem(seed=22, dim=16)
         rmml = ecml.make_learner("rmml", 0.1)
-        caller = threading.current_thread()
-        real_sqrt_norm = ecml.cascade._sqrt_norm
-
-        def slow_on_helper(arr):
-            # a helper still running when the failure propagates must show
-            if threading.current_thread() is not caller:
-                time.sleep(0.01)
-            return real_sqrt_norm(arr)
-
-        monkeypatch.setattr(ecml.cascade, "_sqrt_norm", slow_on_helper)
-        mapping_beside = []
         seen = []
 
         def learner(stats):
             seen.append(stats.dim)
-            mapping_beside.append(
-                any(t.name == "ecml-stage-map" for t in threading.enumerate())
-            )
-            # stage 1 has 4 groups of 4 dims; fail at its third group, while
-            # the helper maps its second
+            # stage 1 has 4 groups of 4 dims; fail at its third group
             if seen.count(4) == 3:
                 raise ecml.DegenerateStats("injected")
             return rmml(stats)
@@ -318,29 +303,21 @@ class TestStageOverlap:
         with pytest.raises(ecml.DegenerateStats, match="injected") as info:
             ecml.fit_cascade(feats, pairs, 3, learner, seed=4)
         assert (info.value.stage_index, info.value.group_index) == (1, 2)
-        # from each stage's second group on, the previous group is being mapped
-        assert mapping_beside == [False] + [True] * 7 + [False, True, True]
         assert threading.active_count() == before
 
-    def test_helper_failure_reaches_caller(self, monkeypatch):
+    def test_fit_starts_only_the_matched_stats_worker(self, monkeypatch):
         feats, _, pairs = clustered_problem(seed=23, dim=16)
-        caller = threading.current_thread()
-        raised_on = []
-        real_sqrt_norm = ecml.cascade._sqrt_norm
+        started = []
+        real_start = threading.Thread.start
 
-        def fails_on_helper(arr):
-            if threading.current_thread() is caller:
-                return real_sqrt_norm(arr)
-            raised_on.append(threading.current_thread())
-            raise FloatingPointError("map failed")
+        def recorded_start(thread):
+            started.append(thread.name)
+            return real_start(thread)
 
-        monkeypatch.setattr(ecml.cascade, "_sqrt_norm", fails_on_helper)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="map failed"):
-            fit_stage(feats, pairs, 4, ecml.make_learner("rmml", 0.1), np.random.default_rng(0))
-        # group 0 is mapped beside group 1's solves, on the helper
-        assert len(raised_on) == 1
-        assert threading.active_count() == before
+        monkeypatch.setattr(threading.Thread, "start", recorded_start)
+        ecml.fit_cascade(feats, pairs, 3, ecml.make_learner("rmml", 0.1), seed=4)
+        # one per accumulate_stats call: 8 + 4 + 2 groups and the final metric
+        assert started == ["ecml-matched-stats"] * 15
 
     def test_map_groups_maps_given_buffer_in_place(self):
         feats, _, pairs = clustered_problem(seed=24, dim=12)
@@ -396,6 +373,14 @@ class TestFitCascade:
         feats, _, pairs = clustered_problem(seed=12)
         with pytest.raises(ValidationError):
             ecml.fit_cascade(feats, pairs, -1, ecml.make_learner("rmml", 0.1), seed=0)
+
+    @pytest.mark.parametrize("stages", [1.5, 2.0])
+    def test_non_integer_stage_count_rejected(self, no_fitting, stages):
+        feats, _, pairs = clustered_problem(seed=12, dim=16)
+        with pytest.raises(ValidationError, match="stage count must be an integer >= 1"):
+            ecml.group_counts(stages)
+        with pytest.raises(ValidationError, match="stage count must be an integer >= 0"):
+            ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=0)
 
     def test_more_groups_than_dimensions_fails_before_fitting(self, no_fitting):
         # 5 stages put 2**5 = 32 groups on 16 dimensions: half would be pure padding

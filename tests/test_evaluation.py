@@ -406,6 +406,21 @@ class TestKlDivergence:
             ecml.kl_divergence(scored([1.0], [2.0]), bins=0)
 
 
+@pytest.mark.parametrize("bins", [2.5, 2.0])
+@pytest.mark.parametrize("entry", ["evaluate", "build_report", "kl_divergence"])
+def test_non_integer_bins_rejected(entry, bins):
+    feats, _, pairs = clustered_problem(seed=5, dim=8)
+    model = ecml.CascadeModel((), ecml.MetricModel(np.eye(8), "rmml"), 8, 0)
+    calls = {
+        "evaluate": lambda: ecml.evaluate(model, feats, pairs, bins=bins),
+        "build_report": lambda: ecml.build_report(scored([1.0], [2.0]), bins=bins),
+        "kl_divergence": lambda: ecml.kl_divergence(scored([1.0], [2.0]), bins=bins),
+    }
+    with pytest.raises(ValidationError) as info:
+        calls[entry]()
+    assert str(info.value) == f"bins must be an integer, got {bins}"
+
+
 class TestReport:
     def test_build_report_fields(self):
         sp = scored([0.1, 0.2, 0.3], [0.8, 0.9, 1.0])

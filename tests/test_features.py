@@ -610,6 +610,17 @@ class TestZeroPad:
         assert np.array_equal(_shuffle(m.data, np.arange(8)), m.data)
 
 
+@pytest.mark.parametrize("seed", [1.5, 2.0])
+@pytest.mark.parametrize("entry", ["sample_pairs", "gen_synthetic"])
+def test_non_integer_seed_rejected(entry, seed):
+    draws = {
+        "sample_pairs": lambda: ecml.sample_pairs([0, 0, 1, 1], 2, 0.5, seed=seed),
+        "gen_synthetic": lambda: ecml.gen_synthetic(2, 5, 3, 1.0, 1.0, seed=seed),
+    }
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got"):
+        draws[entry]()
+
+
 class TestGenSynthetic:
     def test_tight_clusters_in_limit(self):
         feats, labels = ecml.gen_synthetic(4, 5, 6, 1e-15, 1.0, seed=0)

@@ -187,14 +187,17 @@ class TestAccumulateStats:
         ecml.accumulate_stats(feats, pairs)
         assert counts == [before]
 
-    @pytest.mark.parametrize("failing_label", [1, 0])
+    @pytest.mark.parametrize("failing_label", [1, 0, "both"])
     def test_class_failure_reaches_caller_and_joins_worker(self, monkeypatch, failing_label):
-        # label 1 is summed on the worker thread, label 0 on the calling thread
+        # label 1 is summed on the worker thread, label 0 on the calling
+        # thread, whose exception wins when both fail
+        failing = [1, 0] if failing_label == "both" else [failing_label]
         real = metrics._class_sum
 
         def class_sum(x, first, *buffers):
-            if np.array_equal(first, pairs.i[pairs.y == failing_label]):
-                raise FloatingPointError(f"class {failing_label} failed")
+            for label in failing:
+                if np.array_equal(first, pairs.i[pairs.y == label]):
+                    raise FloatingPointError(f"class {label} failed")
             real(x, first, *buffers)
 
         monkeypatch.setattr(metrics, "_class_sum", class_sum)
@@ -212,7 +215,7 @@ class TestAccumulateStats:
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
-        assert [str(exc) for exc in caught] == [f"class {failing_label} failed"]
+        assert [str(exc) for exc in caught] == [f"class {failing[-1]} failed"]
         assert threading.active_count() == before
 
 
