@@ -13,7 +13,6 @@ from .cascade import (
     CascadeModel,
     Projection,
     StageModel,
-    cascade_distance,
     fit_cascade,
     group_counts,
     load_model,
@@ -33,6 +32,7 @@ from .evaluation import (
     EvalReport,
     ScoredPairs,
     build_report,
+    cascade_distance,
     compute_eer,
     evaluate,
     kl_divergence,

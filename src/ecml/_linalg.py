@@ -1,8 +1,11 @@
-"""Small array helpers shared by the feature and cascade modules, and heap release."""
+"""Small array helpers and input checks shared by the ecml modules, and heap release."""
 
 import functools
+import numbers
 
 import numpy as np
+
+from .errors import ValidationError
 
 
 def freeze_array(arr):
@@ -102,3 +105,19 @@ def _release_free_heap():
     trim = _malloc_trim()
     if trim is not None:
         trim(0)
+
+
+def _check_integer(value, what, least):
+    """Raise unless ``value`` is an integer (of any integral type) >= ``least``."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value}")
+
+
+def _int64_exact(values, what):
+    """``values`` as int64, refused where that changes a value (2.7 would truncate to 2)."""
+    arr = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range values are refused below
+        out = arr.astype(np.int64, copy=False)
+    if not np.can_cast(arr.dtype, np.int64) and (out != arr).any():
+        raise ValidationError(f"{what} must be integer-valued, got {arr[out != arr][0].item()!r}")
+    return out

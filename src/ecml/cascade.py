@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _release_free_heap, fix_column_signs, freeze_array, symmetrize
+from ._linalg import (_check_integer, _int64_exact, _release_free_heap, fix_column_signs,
+                      freeze_array, symmetrize)
 from .errors import NumericalError, ValidationError
-from .features import FeatureMatrix, PairSet, PcaModel, _BinaryReader, _write_bytes, map_rows
+from .features import (FeatureMatrix, PairSet, PcaModel, _BinaryReader, _check_pca_input,
+                       _write_bytes, map_rows)
 from .metrics import MetricModel, accumulate_stats
 
 DEFAULT_CASCADE_LAMBDA = 0.1
@@ -57,10 +59,11 @@ class Projection:
             raise ValidationError(f"projection must be square, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise ValidationError("projection has non-finite entries")
-        if self.clamped_count < 0:
+        clamped = int(_int64_exact(self.clamped_count, "clamped_count"))
+        if clamped < 0:
             raise ValidationError("clamped_count must be nonnegative")
         object.__setattr__(self, "p", freeze_array(p))
-        object.__setattr__(self, "clamped_count", int(self.clamped_count))
+        object.__setattr__(self, "clamped_count", clamped)
 
     @property
     def dim(self) -> int:
@@ -88,7 +91,7 @@ class StageModel:
         for g, proj in enumerate(projections):
             if proj.dim != gdim:
                 raise ValidationError(f"group {g} projection has dim {proj.dim}, expected {gdim}")
-        perm = np.asarray(self.permutation, dtype=np.int64)
+        perm = _int64_exact(self.permutation, "permutation")
         width = len(projections) * gdim
         if perm.ndim != 1 or perm.size != width:
             raise ValidationError(f"permutation must have length {width}, got {perm.size}")
@@ -125,6 +128,7 @@ class CascadeModel:
 
     def __post_init__(self):
         stages = tuple(self.stages)
+        object.__setattr__(self, "input_dim", int(_int64_exact(self.input_dim, "input_dim")))
         if self.input_dim < 1:
             raise ValidationError("input_dim must be >= 1")
         _check_seed(self.seed)
@@ -143,7 +147,6 @@ class CascadeModel:
                 f"last stage output dim {dim}"
             )
         object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -204,14 +207,9 @@ def _sqrt_norm(arr):
     return np.sign(arr) * np.sqrt(np.abs(arr))
 
 
-def _check_stage_count(stage_count, least):
-    if not (isinstance(stage_count, numbers.Integral) and stage_count >= least):
-        raise ValidationError(f"stage count must be an integer >= {least}, got {stage_count}")
-
-
 def group_counts(stage_count: int) -> list[int]:
     """Ensemble group counts per stage: 2**L, 2**(L-1), ..., 2."""
-    _check_stage_count(stage_count, 1)
+    _check_integer(stage_count, "stage count", 1)
     return [2 ** (stage_count - l + 1) for l in range(1, stage_count + 1)]
 
 
@@ -304,7 +302,7 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     0 stages no generator is created, and the seed is only checked and
     recorded in the model.
     """
-    _check_stage_count(stage_count, 0)
+    _check_integer(stage_count, "stage count", 0)
     # more stage-0 groups than input dimensions leave groups of pure padding
     if stage_count >= features.dim.bit_length():
         raise ValidationError(
@@ -333,63 +331,28 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
         # only live arrays
         _release_free_heap()
     final = learner(accumulate_stats(current, pairs))
-    return CascadeModel(
-        stages=tuple(stages),
-        final_metric=final,
-        input_dim=input_dim,
-        seed=int(seed),
-    )
+    return CascadeModel(tuple(stages), final, input_dim, seed)
 
 
-def _check_input_dim(model: CascadeModel, features: FeatureMatrix):
-    if features.dim != model.input_dim:
+def _check_rows(model: CascadeModel, pca: PcaModel | None, dim=None):
+    """Raise unless rows ``dim`` wide can enter ``model``: a front end ``pca`` must output
+    the model's input width and take ``dim`` columns; without one the model takes ``dim``.
+    ``dim=None`` checks the front end alone."""
+    if pca is not None and pca.k != model.input_dim:
         raise ValidationError(
-            f"feature dim {features.dim} does not match model input dim {model.input_dim}"
+            f"PCA front end outputs {pca.k} dims, but the model takes {model.input_dim}"
         )
+    if pca is not None and dim is not None:
+        _check_pca_input(pca, dim)
+    elif pca is None and dim not in (None, model.input_dim):
+        raise ValidationError(f"feature dim {dim} does not match model input dim {model.input_dim}")
 
 
 def transform(model: CascadeModel, features) -> FeatureMatrix:
     """Replay the fitted stages on a ``FeatureMatrix`` or ``FeatureFile`` through ``map_rows``;
     the output lives in the final metric's space."""
-    _check_input_dim(model, features)
+    _check_rows(model, None, features.dim)
     return map_rows(features, stages=model.stages)
-
-
-def cascade_distance(model: CascadeModel, x, y):
-    """Squared metric distance d^T M d between transformed inputs.
-
-    ``x`` and ``y`` are either two vectors, giving one float, or two
-    equal-shape ``(n, D)`` row blocks, giving ``n`` scores for the row pairs
-    ``(x[k], y[k])``. Both blocks go through the cascade in one pass. This
-    is the single-pair entry point; ``ecml.evaluate`` scores a pair set
-    through the same quadratic form.
-    """
-    single = np.ndim(x) == 1 and np.ndim(y) == 1
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.ndim != 2 or x.shape != y.shape or x.shape[1] != model.input_dim:
-        raise ValidationError(
-            f"inputs must be two vectors of dim {model.input_dim} or two equal-shape "
-            f"(n, {model.input_dim}) row blocks, got shapes {x.shape} and {y.shape}"
-        )
-    n = x.shape[0]
-    stacked = np.vstack([x, y])
-    stacked.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
-    mapped = transform(model, FeatureMatrix(stacked)).data
-    scores = _quadratic_forms(mapped[:n] - mapped[n:], model.final_metric.matrix)
-    return float(scores[0]) if single else scores
-
-
-def _quadratic_forms(d, m, prod=None, out=None):
-    """d[k]^T m d[k] for every row k of ``d``, computed as ``((d @ m) * d).sum(1)``.
-
-    ``prod`` (shaped like ``d``) and ``out`` (one entry per row) are
-    optional buffers for the product and the scores; given both, nothing is
-    allocated and the bits are those of the formula.
-    """
-    prod = np.matmul(d, m, out=prod)
-    prod *= d
-    return prod.sum(axis=1, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +371,7 @@ def _quadratic_forms(d, m, prod=None, out=None):
 
 def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
     """Serialize a cascade model (and optional PCA front end) to ``path``."""
-    if pca is not None and pca.k != model.input_dim:
-        raise ValidationError(
-            f"PCA front end outputs {pca.k} dims, but the model takes {model.input_dim}"
-        )
+    _check_rows(model, pca)
     tag = model.final_metric.learner.encode("utf-8")
     lam = model.final_metric.lam
     rho = model.final_metric.rho
@@ -517,10 +477,4 @@ def _read_model(cur):
         raise ValidationError(
             f"{path}: {cur.size - cur.off} unexpected trailing bytes after model payload"
         )
-    model = CascadeModel(
-        stages=tuple(stages),
-        final_metric=final,
-        input_dim=int(input_dim),
-        seed=int(seed),
-    )
-    return model, pca
+    return CascadeModel(tuple(stages), final, input_dim, seed), pca

@@ -255,8 +255,7 @@ def cmd_transform(args):
     model, pca = casc.load_model(args.model)
     # a raw-binary input is mapped as it is read, never held whole
     features = _features(args, stream=True)
-    if pca is None:
-        casc._check_input_dim(model, features)
+    casc._check_rows(model, pca, features.dim)
     with _phase("transform"):
         out = feat.map_rows(features, pca, model.stages)
     feat.save_features(out, args.output, args.fmt)

@@ -15,15 +15,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import _release_free_heap, freeze_array
-from .cascade import CascadeModel, _check_input_dim, _quadratic_forms
+from ._linalg import _int64_exact, _release_free_heap, freeze_array
+from .cascade import CascadeModel, _check_rows, transform
 from .errors import ValidationError
 from .features import (
     FeatureFile,
     FeatureMatrix,
     PairSet,
     PcaModel,
-    _check_pca_input,
     _parse_table,
     _read_rows,
     _write_lines,
@@ -32,9 +31,9 @@ from .features import (
 from .metrics import SUB_ROWS, _differences
 
 DEFAULT_BINS = 100
-# Pairs per scored chunk (and per distance_fn call in score_pairs). A
-# constant, because BLAS picks its kernel by row count: a pair scored alone
-# can differ in the last bit from the same pair scored in a larger block.
+# Pairs per chunk of _score_chunks, the kernel of evaluate and cascade_distance,
+# and per distance_fn call in score_pairs. A constant, because BLAS picks its
+# kernel by row count: a pair's bits depend on the size of its chunk.
 SCORE_CHUNK = 256
 KL_SMOOTHING = 1e-10
 
@@ -48,7 +47,7 @@ class ScoredPairs:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _int64_exact(self.labels, "labels")
         if scores.ndim != 1 or labels.ndim != 1 or scores.size != labels.size:
             raise ValidationError("scores and labels must be 1-D arrays of equal length")
         if scores.size == 0:
@@ -126,21 +125,18 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
     """Score ``pairs`` with the cascade ``model`` and build the full report.
 
     ``features`` is a ``FeatureMatrix`` or a ``FeatureFile``, and ``pca``
-    the model's PCA front end, if it has one. Only the rows the pairs
-    reference are read, and ``map_rows`` maps each once, however many
-    pairs it appears in: through ``pca``, then the stages. A
-    ``FeatureMatrix`` scored by a model with neither is scored as it is.
-    The scores equal, bit for bit, those of ``cascade_distance`` on
-    ``SCORE_CHUNK``-pair row blocks of the projected features. ``bins`` is
-    checked before any row is read. Before mapping the rows, the free heap
-    (left by imports and by loading the model) is handed back to the OS.
+    the model's PCA front end, if it has one. ``bins``, the widths and then
+    the pair indices are checked before any row is read. Only the rows the
+    pairs reference are read, and ``map_rows`` maps each once, through
+    ``pca``, then the stages; a ``FeatureMatrix`` scored by a model with
+    neither is scored as it is. ``_score_chunks`` scores the pairs, as it
+    does for ``cascade_distance``, so the two agree bit for bit. Before
+    mapping the rows, the free heap (left by imports and by loading the
+    model) is handed back to the OS.
     """
     _check_bins(bins)
-    if pca is not None:
-        _check_pca_input(pca, features.dim)
+    _check_rows(model, pca, features.dim)
     pairs.check_against(features)
-    if pca is None:
-        _check_input_dim(model, features)
     if model.stages or pca is not None or not isinstance(features, FeatureMatrix):
         rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
         # the mapped rows and the stages' block temporaries set the eval's
@@ -154,12 +150,35 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
     return build_report(ScoredPairs(scores=scores, labels=pairs.y), bins=bins)
 
 
+def cascade_distance(model: CascadeModel, x, y):
+    """Squared metric distance d^T M d between transformed inputs.
+
+    ``x`` and ``y`` are either two vectors, giving one float, or two
+    equal-shape ``(n, D)`` row blocks, giving ``n`` scores for the row pairs
+    ``(x[k], y[k])``. Both blocks go through ``transform`` in one pass and
+    are scored by ``_score_chunks``, as in ``evaluate``, so the scores equal
+    ``evaluate``'s bit for bit at any block size.
+    """
+    single = np.ndim(x) == 1 and np.ndim(y) == 1
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValidationError(f"inputs must be two vectors or two equal-shape (n, D) row "
+                              f"blocks, got shapes {x.shape} and {y.shape}")
+    n = x.shape[0]
+    stacked = np.vstack([x, y])
+    stacked.setflags(write=False)  # so that FeatureMatrix keeps it uncopied
+    mapped = transform(model, FeatureMatrix(stacked)).data
+    scores = _score_chunks(mapped, np.arange(n), np.arange(n, 2 * n), model.final_metric.matrix)
+    return float(scores[0]) if single else scores
+
+
 def _score_chunks(x, first, second, m):
     """Read-only d^T m d, d = x[first[k]] - x[second[k]], ``SCORE_CHUNK`` pairs at a time.
 
-    Each chunk's differences and product land in buffers allocated here
-    once, so the loop allocates no arrays. The indices must already have
-    been checked against ``x``.
+    The one scoring kernel: each chunk's differences and ``(d @ m) * d``
+    land in buffers allocated here once, so the loop allocates no arrays.
+    The indices must already have been checked against ``x``.
     """
     n, width = first.size, x.shape[1]
     scores = np.empty(n)
@@ -168,9 +187,11 @@ def _score_chunks(x, first, second, m):
     sub = np.empty((min(n, SUB_ROWS), width))
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
-        size = min(SCORE_CHUNK, n - start)
-        _differences(x, first[chunk], second[chunk], d[:size], sub)
-        _quadratic_forms(d[:size], m, prod[:size], scores[chunk])
+        dk, pk = d[: scores[chunk].size], prod[: scores[chunk].size]
+        _differences(x, first[chunk], second[chunk], dk, sub)
+        np.matmul(dk, m, out=pk)
+        pk *= dk
+        pk.sum(axis=1, out=scores[chunk])
     scores.setflags(write=False)  # so that ScoredPairs keeps it uncopied
     return scores
 

@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import _release_free_heap, fix_column_signs, freeze_array, row_blocks
+from ._linalg import (_check_integer, _int64_exact, _release_free_heap, fix_column_signs,
+                      freeze_array, row_blocks)
 from .errors import NumericalError, ValidationError
 
 FEATURE_MAGIC = b"CMF1"
@@ -96,9 +97,9 @@ class PairSet:
     y: np.ndarray
 
     def __post_init__(self):
-        i = np.asarray(self.i, dtype=np.int64)
-        j = np.asarray(self.j, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
+        i = _int64_exact(self.i, "pair indices")
+        j = _int64_exact(self.j, "pair indices")
+        y = _int64_exact(self.y, "pair labels")
         if not (i.ndim == j.ndim == y.ndim == 1 and i.size == j.size == y.size):
             raise ValidationError("pair arrays must be 1-D and of equal length")
         if i.size == 0:
@@ -480,7 +481,7 @@ def load_pairs(path) -> PairSet:
 
 
 def save_labels(labels, path) -> None:
-    _write_lines(path, map(str, np.asarray(labels, dtype=np.int64).tolist()))
+    _write_lines(path, map(str, _int64_exact(labels, "labels").tolist()))
 
 
 def load_labels(path) -> np.ndarray:
@@ -515,6 +516,7 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
         raise ValidationError(
             f"pca dimension {k} out of range [1, {kmax}] for {n} samples of dim {d}"
         )
+    _check_integer(k, "pca dimension", 1)
     if isinstance(features, FeatureFile):
         features = features.load()
     mean = features.data.mean(axis=0)
@@ -609,6 +611,7 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
         raise ValidationError("labels must be a 1-D array of at least 2 samples")
     if count < 1:
         raise ValidationError("pair count must be >= 1")
+    _check_integer(count, "pair count", 1)
     if not 0.0 <= pos_fraction <= 1.0:
         raise ValidationError(f"pos_fraction must lie in [0, 1], got {pos_fraction}")
     n = labels.size
@@ -683,6 +686,8 @@ def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, s
     """
     if identities < 1 or samples_per_id < 1 or dim < 1:
         raise ValidationError("identities, samples_per_id, and dim must all be >= 1")
+    for v, what in zip((identities, samples_per_id, dim), ("identities", "samples_per_id", "dim")):
+        _check_integer(v, what, 1)
     if not (intra_spread > 0 and inter_spread > 0):
         raise ValidationError("spreads must be positive")
     rng = _rng(seed)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _release_free_heap, freeze_array, is_symmetric, symmetrize
+from ._linalg import _int64_exact, _release_free_heap, freeze_array, is_symmetric, symmetrize
 from .errors import DegenerateStats, SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
 
@@ -81,8 +81,8 @@ class DifferenceStats:
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
         object.__setattr__(self, "sum_pos", freeze_array(sp))
         object.__setattr__(self, "sum_neg", freeze_array(sn))
-        object.__setattr__(self, "n_pos", int(self.n_pos))
-        object.__setattr__(self, "n_neg", int(self.n_neg))
+        object.__setattr__(self, "n_pos", int(_int64_exact(self.n_pos, "n_pos")))
+        object.__setattr__(self, "n_neg", int(_int64_exact(self.n_neg, "n_neg")))
 
     @property
     def tr_pos(self) -> float:

@@ -592,6 +592,22 @@ class TestTransformAndDistance:
         assert np.array_equal(np.argsort(da), np.argsort(db))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ecml.Projection(np.eye(2), 1.5), "clamped_count must be integer-valued, got 1.5"),
+    (lambda: ecml.StageModel([0.5, 1.2], (ecml.Projection(np.eye(1), 0),) * 2),
+     "permutation must be integer-valued, got 0.5"),
+    # its stage pads 8.5 columns, like 8, to 12; the file would store 8, which pads to 8
+    (lambda: ecml.CascadeModel(
+        (ecml.StageModel(np.arange(12), (ecml.Projection(np.eye(3), 0),) * 4),),
+        ecml.MetricModel(np.eye(12), "rmml"), 8.5, 0,
+    ), "input_dim must be integer-valued, got 8.5"),
+], ids=["clamped-count", "permutation", "input-dim"])
+def test_constructors_reject_values_int64_would_change(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestPersistence:
     def test_roundtrip_bitwise_distances(self, tmp_path, rng):
         feats, _, pairs = clustered_problem(seed=23, dim=16)

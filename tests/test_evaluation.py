@@ -35,6 +35,11 @@ class TestScoredPairs:
         with pytest.raises(ValidationError):
             scored([np.inf], [1.0])
 
+    def test_rejects_labels_int64_would_change(self):
+        # 0.4 would truncate to 0, silently an unmatched label
+        with pytest.raises(ValidationError, match="labels must be integer-valued, got 0.4"):
+            ecml.ScoredPairs(scores=np.asarray([1.0, 2.0]), labels=[1, 0.4])
+
     def test_split_properties(self):
         sp = scored([1.0, 2.0], [3.0])
         assert np.array_equal(sp.pos, [1.0, 2.0])
@@ -193,6 +198,17 @@ class TestEvaluate:
         want = reference_scores(model, x, [a], [b])
         assert ecml.cascade_distance(model, x[a], x[b]) == want[0]
 
+    def test_cascade_distance_block_equals_evaluate(self, monkeypatch):
+        # 257 pairs: a chunk of SCORE_CHUNK pairs and one of a single pair; at
+        # this width one 257-row product rounds the last pair differently
+        feats, labels, pairs = clustered_problem(seed=31, ids=30, spp=12, dim=32)
+        model = ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=3)
+        i = np.arange(SCORE_CHUNK + 1)
+        pairs = ecml.PairSet(i, i + 1, (labels[i] == labels[i + 1]).astype(int))
+        want = evaluated_scores(model, feats, pairs, monkeypatch)
+        got = ecml.cascade_distance(model, feats.data[pairs.i], feats.data[pairs.j])
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("stages", [0, 1])
     def test_wrong_feature_width_rejected(self, stages):
         feats, _, pairs = clustered_problem(seed=5, dim=8)
@@ -201,6 +217,26 @@ class TestEvaluate:
         with pytest.raises(ValidationError) as info:
             ecml.evaluate(model, wide, pairs)
         assert str(info.value) == "feature dim 9 does not match model input dim 8"
+
+    @pytest.mark.parametrize("stages", [0, 1])
+    def test_width_reported_before_pair_range(self, stages):
+        feats, _, pairs = clustered_problem(seed=5, dim=8)
+        model = ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=0)
+        wide = ecml.FeatureMatrix(np.hstack([feats.data, feats.data[:, :1]]))
+        far = ecml.PairSet(np.r_[pairs.i, 0], np.r_[pairs.j, wide.count], np.r_[pairs.y, 0])
+        with pytest.raises(ValidationError) as info:
+            ecml.evaluate(model, wide, far)
+        assert str(info.value) == "feature dim 9 does not match model input dim 8"
+
+    @pytest.mark.parametrize("stages", [0, 2])
+    def test_front_end_must_output_the_model_width(self, cascade_problem, stages):
+        # the 2-stage model would zero-pad the 8 projected columns to its 12
+        feats, _, pairs, _ = cascade_problem
+        model = ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=3)
+        pca = ecml.fit_pca(feats, 8)
+        with pytest.raises(ValidationError) as info:
+            ecml.evaluate(model, feats, pairs, pca=pca)
+        assert str(info.value) == "PCA front end outputs 8 dims, but the model takes 12"
 
     @pytest.mark.parametrize("bins", [0, -5])
     def test_bins_checked_before_any_row_is_read(self, tmp_path, monkeypatch, bins):

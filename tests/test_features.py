@@ -610,6 +610,19 @@ class TestZeroPad:
         assert np.array_equal(_shuffle(m.data, np.arange(8)), m.data)
 
 
+@pytest.mark.parametrize("what, call", [
+    ("pair count", lambda: ecml.sample_pairs([0, 0, 1, 1], 2.5, 0.5, seed=0)),
+    ("identities", lambda: ecml.gen_synthetic(2.5, 5, 3, 1.0, 1.0, seed=0)),
+    ("samples_per_id", lambda: ecml.gen_synthetic(2, 2.5, 3, 1.0, 1.0, seed=0)),
+    ("dim", lambda: ecml.gen_synthetic(2, 5, 2.5, 1.0, 1.0, seed=0)),
+    ("pca dimension", lambda: ecml.fit_pca(ecml.FeatureMatrix(np.eye(6)), 2.5)),
+], ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else "")
+def test_non_integer_count_rejected(what, call):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert str(info.value) == f"{what} must be an integer >= 1, got 2.5"
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0])
 @pytest.mark.parametrize("entry", ["sample_pairs", "gen_synthetic"])
 def test_non_integer_seed_rejected(entry, seed):
@@ -690,6 +703,25 @@ class TestPairAndLabelFiles:
         path = tmp_path / "l.csv"
         ecml.save_labels([4, 4, 7, 9], path)
         assert np.array_equal(ecml.load_labels(path), [4, 4, 7, 9])
+
+    def test_save_labels_rejects_fractions(self, tmp_path):
+        with pytest.raises(ValidationError, match="labels must be integer-valued, got 1.5"):
+            ecml.save_labels([0, 1.5], tmp_path / "l.csv")
+        assert not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("i", [0.5, 2.7], "pair indices must be integer-valued, got 0.5"),
+        ("j", [1.2, 3.9], "pair indices must be integer-valued, got 1.2"),
+        ("y", [1.0, 0.4], "pair labels must be integer-valued, got 0.4"),
+    ])
+    def test_pairset_rejects_values_int64_would_change(self, field, values, message):
+        # whole floats convert; 2.7 would truncate to 2, and the label 0.4 to unmatched
+        arrays = {"i": [0.0, 2.0], "j": [1.0, 3.0], "y": [1.0, 0.0]}
+        whole = ecml.PairSet(**arrays)
+        assert whole.i.tolist() == [0, 2] and whole.y.tolist() == [1, 0]
+        with pytest.raises(ValidationError) as info:
+            ecml.PairSet(**{**arrays, field: values})
+        assert str(info.value) == message
 
     def test_pairset_requires_both_labels(self):
         with pytest.raises(ValidationError, match="matched"):

@@ -253,6 +253,11 @@ class TestDifferenceStatsInvariants:
         with pytest.raises(ValidationError):
             ecml.DifferenceStats(np.eye(2), np.eye(2), 0, 1)
 
+    def test_rejects_counts_int64_would_change(self):
+        with pytest.raises(ValidationError, match="n_pos must be integer-valued, got 2.5"):
+            ecml.DifferenceStats(np.eye(2), np.eye(2), 2.5, 3)
+        assert ecml.DifferenceStats(np.eye(2), np.eye(2), 2.0, 3).n_pos == 2
+
 
 class TestMetricModel:
     def test_asymmetric_overflow_rejected(self):

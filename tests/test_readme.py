@@ -27,6 +27,19 @@ def _defined_criteria():
     }
 
 
+def _module_constants(module):
+    """Top-level ``NAME = literal`` assignments in the source of ``module`` (``ecml.x``)."""
+    path = ROOT / "src" / Path(*module.split(".")).with_suffix(".py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+
 def test_under_170_lines():
     assert len(README.splitlines()) < 170
 
@@ -54,3 +67,14 @@ def test_ledger_names_exactly_the_defined_criteria():
     named = set(CRITERION.findall(_section("Claim ledger")))
     assert named == _defined_criteria()
     assert len(named) >= 12
+
+
+def test_determinism_constants_stated_with_value_and_module():
+    # each constant the section names is stated as `NAME` (value ..., `ecml.module`), and
+    # that module's own source assigns the value, so a moved constant fails
+    text = _section("Determinism")
+    stated = re.findall(r"`([A-Z][A-Z0-9_]+)`\**\s*\((\d+)[^()`]*`(ecml\.\w+)`\)", text)
+    assert {name for name, _, _ in stated} == set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
+    assert {name for name, _, _ in stated} >= {"STATS_CHUNK", "ROW_BLOCK", "SCORE_CHUNK"}
+    for name, value, module in stated:
+        assert _module_constants(module).get(name) == int(value), (name, module)
