@@ -110,7 +110,7 @@ def _release_free_heap():
 def _check_integer(value, what, least):
     """Raise unless ``value`` is an integer (of any integral type) >= ``least``."""
     if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value}")
+        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
 
 
 def _int64_exact(values, what):

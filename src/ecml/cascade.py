@@ -35,9 +35,6 @@ DEFAULT_CASCADE_LAMBDA = 0.1
 DEFAULT_STAGES = 3
 
 CLAMP_TOL = 1e-10
-# Rows of a mapped group block normalized per _sqrt_norm call, which bounds
-# its temporaries to this many rows whatever the sample count
-SQRT_ROWS = 64
 
 MODEL_MAGIC = b"ECML"
 MODEL_VERSION = 1
@@ -114,7 +111,7 @@ class StageModel:
 
     def replay(self, x) -> np.ndarray:
         """The stage output for the rows of the array ``x``: a new, read-only array."""
-        return _map_groups(self, _shuffle(x, self.permutation)).data
+        return _map_groups(self, _shuffle(x, self.permutation))
 
 
 @dataclass(frozen=True)
@@ -203,8 +200,17 @@ def mcd(matrix) -> Projection:
     return Projection(p=p, clamped_count=clamped)
 
 
-def _sqrt_norm(arr):
-    return np.sign(arr) * np.sqrt(np.abs(arr))
+def _sqrt_norm(z, out):
+    """sign(z) * sqrt(|z|) into ``out``, overwriting ``z``: the stage map of fit and replay.
+
+    Allocates nothing; the bits are those of ``np.sign(z) * np.sqrt(np.abs(z))``.
+    ``out`` first holds z + 0.0, whose signs are z's except that -0.0 turns
+    +0.0, as ``np.sign`` maps it; sqrt(|z|) then takes those signs. The root
+    is taken in ``z``, as a pass over the strided ``out`` costs several over
+    the contiguous ``z``.
+    """
+    np.add(z, 0.0, out=out)
+    np.copysign(np.sqrt(np.abs(z, out=z), out=z), out, out=out)
 
 
 def group_counts(stage_count: int) -> list[int]:
@@ -226,30 +232,22 @@ def _shuffle(x, perm):
     return x.take(perm, axis=1)
 
 
-def _stage_output(shuffled):
-    """The fully mapped ``shuffled`` as features, marked read-only so none are copied."""
-    shuffled.setflags(write=False)
-    return FeatureMatrix(shuffled)
+def _map_groups(stage: StageModel, shuffled) -> np.ndarray:
+    """Map and sqrt-normalize ``shuffled`` in place, group by group; returns it read-only.
 
-
-def _map_groups(stage: StageModel, shuffled) -> FeatureMatrix:
-    """Map and sqrt-normalize ``shuffled`` in place, group by group.
-
-    Each group's product lands in one N x (D/G) ``block`` and goes back into
-    the group's columns ``SQRT_ROWS`` rows at a time, so the only other
-    arrays allocated are ``_sqrt_norm``'s row-block temporaries.
-    ``shuffled`` is overwritten and returned read-only inside the result, so
+    Each group's product lands in one N x (D/G) ``block``, which
+    ``_sqrt_norm`` normalizes straight back into the group's columns, so
+    ``block`` is the only array allocated. ``shuffled`` is overwritten, so
     callers pass a fresh matrix (as ``_shuffle`` makes) that nothing else uses.
     """
     gdim = stage.group_dim
     block = np.empty((shuffled.shape[0], gdim))
     for g, proj in enumerate(stage.projections):
-        cols = slice(g * gdim, (g + 1) * gdim)
-        np.matmul(shuffled[:, cols], proj.p, out=block)
-        for start in range(0, block.shape[0], SQRT_ROWS):
-            rows = slice(start, start + SQRT_ROWS)
-            shuffled[rows, cols] = _sqrt_norm(block[rows])
-    return _stage_output(shuffled)
+        cols = shuffled[:, g * gdim : (g + 1) * gdim]
+        np.matmul(cols, proj.p, out=block)
+        _sqrt_norm(block, cols)
+    shuffled.setflags(write=False)
+    return shuffled
 
 
 def _fit_stage(shuffled, perm, pairs, n_groups, learner):
@@ -281,17 +279,20 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     # freed before _map_groups allocates its own block
     del block, group
     stage = StageModel(perm, tuple(projections))
-    return stage, _map_groups(stage, shuffled)
+    # checked once, as the input of the next stats call
+    return stage, FeatureMatrix(_map_groups(stage, shuffled))
 
 
-def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, seed) -> CascadeModel:
+def fit_cascade(features, pairs: PairSet, stage_count, learner, seed) -> CascadeModel:
     """Fit ``stage_count`` ensemble stages plus one final ungrouped metric.
 
-    Stage group counts follow :func:`group_counts`; each stage consumes the
-    previous stage's output. ``stage_count = 0`` degenerates to the plain
-    learner on the raw features. The final metric is fitted without grouping
-    and is never factorized or normalized. More stage-0 groups than input
-    dimensions (``2**stage_count > D``) are rejected before fitting.
+    ``features`` is a ``FeatureMatrix`` or a ``FeatureFile``. The stage
+    count, ``2**stage_count <= D`` and the seed are checked first, a file's
+    against its header, and only then are its rows read, whole. Stage group
+    counts follow :func:`group_counts`; each stage consumes the previous
+    stage's output. ``stage_count = 0`` degenerates to the plain learner on
+    the raw features. The final metric is fitted without grouping and is
+    never factorized or normalized.
 
     Each stage shuffles its input into a fresh matrix and drops its own
     reference to the input, so the previous stage's output (and the
@@ -312,7 +313,7 @@ def fit_cascade(features: FeatureMatrix, pairs: PairSet, stage_count, learner, s
     _check_seed(seed)
     stages = []
     input_dim = features.dim
-    current, features = features, None
+    current, features = map_rows(features), None
     counts = group_counts(stage_count) if stage_count else []
     # 0 stages draw nothing, so they neither create an RNG nor import numpy.random
     rng = np.random.default_rng(seed) if counts else None
@@ -409,7 +410,7 @@ def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
 
 
 def load_model(path):
-    """Load a model file; returns (CascadeModel, PcaModel or None).
+    """Load a model file; returns (CascadeModel, PcaModel or None). Every fault names the file.
 
     Each array is read from the open file into its own aligned buffer, and
     the file is closed on every path. Beyond the model's arrays the call
@@ -425,6 +426,13 @@ def load_model(path):
 
 def _read_model(cur):
     path = cur.path
+
+    def built(make, *args):  # the objects' own messages do not name the file
+        try:
+            return make(*args)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
     magic = cur.take(4, "magic")
     if magic != MODEL_MAGIC:
         raise ValidationError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r}")
@@ -448,33 +456,25 @@ def _read_model(cur):
             for g in range(n_groups)
         ]
         counts = cur.array((n_groups,), "<u4", f"stage {s} clamped counts")
-        projections = tuple(
-            Projection(p=mat, clamped_count=int(c)) for mat, c in zip(mats, counts)
-        )
-        stages.append(StageModel(perm, projections))
+        projections = tuple(built(Projection, mat, int(c)) for mat, c in zip(mats, counts))
+        stages.append(built(StageModel, perm, projections))
     (final_dim,) = cur.unpack("<I", "final metric dim")
     fm = cur.array((final_dim, final_dim), "<f8", "final metric")
-    final = MetricModel(
-        matrix=fm,
-        learner=tag,
-        lam=None if np.isnan(lam) else float(lam),
-        rho=None if np.isnan(rho) else float(rho),
-    )
+    lam, rho = (None if np.isnan(v) else float(v) for v in (lam, rho))
+    final = built(MetricModel, fm, tag, lam, rho)
     (has_pca,) = cur.unpack("<B", "pca flag")
     pca = None
     if has_pca == 1:
         pca_dim, pca_k = cur.unpack("<II", "pca header")
-        if pca_k != input_dim:
-            raise ValidationError(
-                f"{path}: PCA front end outputs {pca_k} dims, but the model takes {input_dim}"
-            )
         mean = cur.array((pca_dim,), "<f8", "pca mean")
         basis = cur.array((pca_dim, pca_k), "<f8", "pca basis")
-        pca = PcaModel(mean=mean, basis=basis)
+        pca = built(PcaModel, mean, basis)
     elif has_pca != 0:
         raise ValidationError(f"{path}: invalid pca flag {has_pca}")
     if cur.off != cur.size:
         raise ValidationError(
             f"{path}: {cur.size - cur.off} unexpected trailing bytes after model payload"
         )
-    return CascadeModel(tuple(stages), final, input_dim, seed), pca
+    model = built(CascadeModel, tuple(stages), final, input_dim, seed)
+    built(_check_rows, model, pca)
+    return model, pca

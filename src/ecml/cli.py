@@ -108,14 +108,10 @@ def _require(args, *names):
             raise ValidationError(f"--{name} is required (flag or config file)")
 
 
-def _features(args, stream):
-    """The ``--features`` file: with ``stream``, a raw-binary file is only opened, else loaded.
-
-    An opened file (a ``FeatureFile``) is read anew by each consumer, which
-    keeps only what it derives from the rows. A CSV file is always parsed,
-    and held, whole.
-    """
-    if stream and args.fmt == "raw-binary":
+def _features(args):
+    """The ``--features`` file: CSV parsed whole, raw binary opened as a ``FeatureFile``,
+    whose header alone is read and checked; each consumer reads its rows as it uses them."""
+    if args.fmt == "raw-binary":
         return feat.FeatureFile(args.features)
     return feat.load_features(args.features, args.fmt)
 
@@ -178,9 +174,9 @@ def cmd_fit(args):
         lam = casc.DEFAULT_CASCADE_LAMBDA if args.cascade else met.DEFAULT_LAMBDA
     learner = met.make_learner(args.learner, lam)
     with _phase("load"):
-        # fit_pca and apply_pca each read a raw-binary file themselves, so no
-        # N x D input is held during the PCA eigendecomposition
-        features = _features(args, stream=args.pca_dim is not None)
+        # fit_pca, apply_pca and fit_cascade each read a raw-binary file
+        # themselves, so no N x D input is held during the PCA eigendecomposition
+        features = _features(args)
         pairs = feat.load_pairs(args.pairs)
     # an opened raw-binary file has read only its header, so no row is read yet
     pairs.check_against(features)
@@ -222,7 +218,7 @@ def cmd_eval(args):
     ev._check_bins(args.bins)
     with _phase("load"):
         # each model reads the rows of a raw-binary file anew
-        features = _features(args, stream=True)
+        features = _features(args)
         pairs = feat.load_pairs(args.pairs)
     reports = []
     with _phase("score"):
@@ -254,7 +250,7 @@ def cmd_transform(args):
     _require(args, "features", "output", "model")
     model, pca = casc.load_model(args.model)
     # a raw-binary input is mapped as it is read, never held whole
-    features = _features(args, stream=True)
+    features = _features(args)
     casc._check_rows(model, pca, features.dim)
     with _phase("transform"):
         out = feat.map_rows(features, pca, model.stages)

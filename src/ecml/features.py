@@ -396,11 +396,12 @@ class FeatureFile:
     """A raw-binary feature file whose header has been checked; its rows are read on demand.
 
     Like a ``FeatureMatrix`` it has ``count``, ``dim``, ``blocks`` and
-    ``gather``, so ``map_rows`` and ``fit_pca`` take either, but it holds no
-    rows: each ``blocks``, ``gather`` or ``load`` reads the file again, front
-    to back. The file's identity (device, inode, size and modification
-    time) is recorded at open, and every read rejects a file whose identity
-    or header has changed since, so that no result mixes two versions of it.
+    ``gather``, so ``map_rows``, ``fit_pca`` and ``fit_cascade`` take either,
+    but it holds no rows: each ``blocks``, ``gather`` or ``load`` reads the
+    file again, front to back. The file's identity (device, inode, size and
+    modification time) is recorded at open, and every read rejects a file
+    whose identity or header has changed since, so that no result mixes two
+    versions of it.
     """
 
     def __init__(self, path):
@@ -418,7 +419,7 @@ class FeatureFile:
             yield cur
 
     def load(self) -> FeatureMatrix:
-        """Every row, read into one checked matrix; ``load_features`` reads raw binary here."""
+        """Every row, read into one checked matrix; ``load_features`` and ``map_rows`` load here."""
         with self._reopen() as cur:
             data = cur.array((self.count, self.dim), "<f8", "features")
         return FeatureMatrix(data)
@@ -498,10 +499,12 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
     Eigenvalues are taken in non-increasing order; eigenvector signs are
     pinned for reproducibility. ``k`` is checked before any row is read.
 
-    A ``FeatureFile`` is read here into one checked N x D matrix, which is
-    freed once the N x D centered copy is made; the centered copy is freed,
-    and the covariance scaled in place, before ``eigh`` allocates its own
-    workspace. During ``eigh`` the call then holds the D x D covariance and
+    A ``FeatureFile`` is read here, by ``map_rows``, into one checked N x D
+    matrix, freed once the N x D centered copy is made. The centered copy is
+    freed, the covariance scaled in place and the free heap handed back to
+    the OS before ``eigh`` allocates its own workspace, so that the peak
+    does not depend on where earlier blocks were freed in the heap. During
+    ``eigh`` the call then holds the D x D covariance and
     the mean beside ``eigh``'s own workspace and output, and nothing N x D;
     a ``FeatureMatrix`` stays held by its caller. The basis is built in one
     D x k copy, which ``PcaModel`` keeps uncopied. The covariance and the
@@ -510,21 +513,21 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
     holding only live arrays. The model's bits are the same for either
     input.
     """
+    _check_integer(k, "pca dimension", 1)
     n, d = features.count, features.dim
     kmax = min(n - 1, d)
-    if not 1 <= k <= kmax:
+    if k > kmax:
         raise ValidationError(
             f"pca dimension {k} out of range [1, {kmax}] for {n} samples of dim {d}"
         )
-    _check_integer(k, "pca dimension", 1)
-    if isinstance(features, FeatureFile):
-        features = features.load()
+    features = map_rows(features)
     mean = features.data.mean(axis=0)
     centered = features.data - mean
     del features  # the last reference to a matrix loaded here
     cov = centered.T @ centered
     del centered
     cov /= n - 1
+    _release_free_heap()
     try:
         evals, evecs = np.linalg.eigh(cov)
     except np.linalg.LinAlgError as exc:
@@ -560,11 +563,12 @@ def map_rows(source, pca=None, stages=(), rows=None) -> FeatureMatrix:
     are fitted cascade stages, each applied by its ``replay``. Each block
     of ``ROW_BLOCK`` rows is centered in the source's ``blocks`` or
     ``gather`` buffer and projected straight into the output when no stage
-    follows; ``row_blocks`` keeps a row's bits independent of its block. A
-    ``FeatureMatrix`` mapped through nothing is returned as it is.
+    follows; ``row_blocks`` keeps a row's bits independent of its block.
+    Only the result is checked. Mapped through nothing, a ``FeatureMatrix``
+    is returned as it is and a ``FeatureFile`` is loaded whole.
     """
-    if pca is None and not stages and rows is None and isinstance(source, FeatureMatrix):
-        return source
+    if pca is None and not stages and rows is None:
+        return source.load() if isinstance(source, FeatureFile) else source
     if pca is not None:
         _check_pca_input(pca, source.dim)
     if rows is None:
@@ -609,11 +613,9 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size < 2:
         raise ValidationError("labels must be a 1-D array of at least 2 samples")
-    if count < 1:
-        raise ValidationError("pair count must be >= 1")
     _check_integer(count, "pair count", 1)
-    if not 0.0 <= pos_fraction <= 1.0:
-        raise ValidationError(f"pos_fraction must lie in [0, 1], got {pos_fraction}")
+    if not (isinstance(pos_fraction, numbers.Real) and 0.0 <= pos_fraction <= 1.0):
+        raise ValidationError(f"pos_fraction must lie in [0, 1], got {pos_fraction!r}")
     n = labels.size
     n_pos = int(round(count * pos_fraction))
     n_neg = count - n_pos
@@ -684,11 +686,9 @@ def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, s
     Identity means are drawn from N(0, inter_spread**2 I) and samples from
     N(mean, intra_spread**2 I). Returns (FeatureMatrix, labels).
     """
-    if identities < 1 or samples_per_id < 1 or dim < 1:
-        raise ValidationError("identities, samples_per_id, and dim must all be >= 1")
     for v, what in zip((identities, samples_per_id, dim), ("identities", "samples_per_id", "dim")):
         _check_integer(v, what, 1)
-    if not (intra_spread > 0 and inter_spread > 0):
+    if not all(isinstance(v, numbers.Real) and v > 0 for v in (intra_spread, inter_spread)):
         raise ValidationError("spreads must be positive")
     rng = _rng(seed)
     means = rng.normal(0.0, inter_spread, size=(identities, dim))

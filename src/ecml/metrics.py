@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -268,8 +269,8 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
 
 
 def _check_lambda(lam):
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lambda must be finite and nonnegative, got {lam}")
+    if not (isinstance(lam, numbers.Real) and math.isfinite(lam) and lam >= 0):
+        raise ValidationError(f"lambda must be finite and nonnegative, got {lam!r}")
 
 
 def _spd_inverse(sigma, label):

@@ -111,19 +111,37 @@ def test_mcd_never_negative_spectrum(seed, dim):
     assert np.linalg.eigvalsh(proj.p @ proj.p.T).min() >= -1e-8
 
 
+def sqrt_normed(a):
+    """``_sqrt_norm`` of a copy of ``a``, written into a new array."""
+    out = np.empty_like(a)
+    _sqrt_norm(np.array(a), out)
+    return out
+
+
 class TestSqrtNormalize:
     def test_values(self):
-        out = _sqrt_norm(np.asarray([[4.0, -9.0, 0.0]]))
+        out = sqrt_normed(np.asarray([[4.0, -9.0, 0.0]]))
         assert np.array_equal(out, [[2.0, -3.0, 0.0]])
 
     def test_twice_is_fourth_root(self, rng):
         data = rng.normal(scale=5.0, size=(6, 4))
-        twice = _sqrt_norm(_sqrt_norm(data))
+        twice = sqrt_normed(sqrt_normed(data))
         want = np.sign(data) * np.abs(data) ** 0.25
         assert np.allclose(twice, want, atol=1e-12)
 
     def test_shape_preserved(self, rng):
-        assert _sqrt_norm(rng.normal(size=(3, 7))).shape == (3, 7)
+        assert sqrt_normed(rng.normal(size=(3, 7))).shape == (3, 7)
+
+    def test_bits_equal_sign_times_sqrt_into_strided_columns(self, rng):
+        # signed zeros and subnormals included; out is a column slice of a
+        # wider matrix, as each group of a stage is
+        z = rng.normal(scale=3.0, size=(5, 6))
+        z[0, :4] = [0.0, -0.0, 5e-324, -5e-324]
+        want = np.sign(z) * np.sqrt(np.abs(z))
+        wide = np.full((5, 10), np.nan)
+        _sqrt_norm(z.copy(), wide[:, 2:8])
+        assert wide[:, 2:8].tobytes() == want.tobytes()
+        assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, 8:]).all()
 
 
 class TestGroupCounts:
@@ -184,7 +202,7 @@ class TestFitStage:
             feats, pairs, 2, ecml.make_learner("rmml", 0.1), np.random.default_rng(2)
         )
         replayed = _map_groups(stage, _shuffle(feats.data, stage.permutation))
-        assert np.array_equal(out.data, replayed.data)
+        assert np.array_equal(out.data, replayed)
 
     def test_padding_widens_stage(self):
         feats, _, pairs = clustered_problem(seed=7, dim=10)
@@ -274,9 +292,9 @@ class TestStageOverlap:
         # each group's stats are summed over that group's columns of the stage
         # input, the learner gets those stats, and mcd that learner's matrix
         groups = iter(zip(*[iter(calls[:-2])] * 3))
-        current = feats
+        current = feats.data
         for stage in model.stages:
-            shuffled = _shuffle(current.data, stage.permutation)
+            shuffled = _shuffle(current, stage.permutation)
             gdim = stage.group_dim
             for g, proj in enumerate(stage.projections):
                 stats, fit, factor = next(groups)
@@ -326,10 +344,23 @@ class TestStageOverlap:
         )
         shuffled = _shuffle(feats.data, stage.permutation)
         out = _map_groups(stage, shuffled)
-        assert out.data is shuffled
+        assert out is shuffled
         assert not shuffled.flags.writeable
-        assert np.array_equal(out.data, fitted.data)
+        assert np.array_equal(out, fitted.data)
         assert not fitted.data.flags.writeable
+
+    def test_map_groups_peak_is_its_group_block(self, rng):
+        n, gdim = 300, 1024
+        stage = random_stage(rng, 2 * gdim, 2)
+        shuffled = rng.normal(size=(n, 2 * gdim))
+        tracemalloc.start()
+        try:
+            _map_groups(stage, shuffled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the one N x (D/G) group block, only ufunc buffers
+        assert peak <= 8 * n * gdim + 256 * 1024
 
 
 class TestFitCascade:
@@ -353,17 +384,17 @@ class TestFitCascade:
         # metric's stats call reads the last one
         feats, _, pairs = clustered_problem(seed=11, dim=16)
         outputs, live = [], []
-        real_output, real_stats = ecml.cascade._stage_output, ecml.cascade.accumulate_stats
+        real_map, real_stats = ecml.cascade._map_groups, ecml.cascade.accumulate_stats
 
-        def tracked_output(shuffled):
+        def tracked_map(stage, shuffled):
             outputs.append(weakref.ref(shuffled))
-            return real_output(shuffled)
+            return real_map(stage, shuffled)
 
         def counting_stats(features, pairs):
             live.append(sum(ref() is not None for ref in outputs))
             return real_stats(features, pairs)
 
-        monkeypatch.setattr(ecml.cascade, "_stage_output", tracked_output)
+        monkeypatch.setattr(ecml.cascade, "_map_groups", tracked_map)
         monkeypatch.setattr(ecml.cascade, "accumulate_stats", counting_stats)
         ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=1)
         assert len(outputs) == 2
@@ -395,6 +426,32 @@ class TestFitCascade:
         for stages in (0, 1):
             with pytest.raises(ValidationError, match=r"2\*\*64"):
                 ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=seed)
+
+    @pytest.mark.parametrize("stages", [0, 2])
+    def test_feature_file_checked_then_fitted_as_the_loaded_matrix(
+        self, tmp_path, monkeypatch, stages
+    ):
+        feats, _, pairs = clustered_problem(seed=12, dim=16)
+        path = tmp_path / "f.bin"
+        ecml.save_features(feats, path, "raw-binary")
+        learner = ecml.make_learner("rmml", 0.1)
+
+        def unreadable(*args):
+            raise AssertionError("a row was read before the header checks")
+
+        # the stage count and the seed are checked against the header alone
+        monkeypatch.setattr(ecml.FeatureFile, "load", unreadable)
+        monkeypatch.setattr(ecml.FeatureFile, "blocks", unreadable)
+        for bad_stages, seed, message in ((5, 0, r"2\*\*5 input dimensions, got 16"),
+                                          (stages, -1, r"2\*\*64")):
+            with pytest.raises(ValidationError, match=message):
+                ecml.fit_cascade(ecml.FeatureFile(path), pairs, bad_stages, learner, seed=seed)
+        monkeypatch.undo()
+        for name, source in (("file", ecml.FeatureFile(path)),
+                             ("matrix", ecml.load_features(path, "raw-binary"))):
+            model = ecml.fit_cascade(source, pairs, stages, learner, seed=3)
+            ecml.save_model(model, tmp_path / f"{name}.ecml")
+        assert (tmp_path / "file.ecml").read_bytes() == (tmp_path / "matrix.ecml").read_bytes()
 
     def test_stage_failure_carries_stage_index(self):
         feats, _, pairs = clustered_problem(seed=13, dim=10)
@@ -477,10 +534,11 @@ class TestTransformAndDistance:
             padded = np.pad(want, ((0, 0), (0, stage.width - want.shape[1])))
             shuffled = padded[:, stage.permutation]
             gdim = stage.group_dim
-            want = np.hstack([
-                _sqrt_norm(shuffled[:, g * gdim : (g + 1) * gdim] @ proj.p)
+            mapped = [
+                shuffled[:, g * gdim : (g + 1) * gdim] @ proj.p
                 for g, proj in enumerate(stage.projections)
-            ])
+            ]
+            want = np.hstack([np.sign(z) * np.sqrt(np.abs(z)) for z in mapped])
         got = ecml.transform(model, ecml.FeatureMatrix(data)).data
         # compared as bit patterns, so a +0.0 / -0.0 mismatch fails too
         assert (want == 0.0).any()
@@ -513,7 +571,7 @@ class TestTransformAndDistance:
         got = ecml.transform(model, feats).data
         want = data  # the stages replayed on the whole matrix at once
         for stage in model.stages:
-            want = _map_groups(stage, _shuffle(want, stage.permutation)).data
+            want = _map_groups(stage, _shuffle(want, stage.permutation))
         assert got.tobytes() == want.tobytes()
         if n > 1:
             assert got.tobytes() == seen[-1].tobytes()
@@ -792,6 +850,35 @@ class TestPersistence:
         with pytest.raises(ValidationError) as info:
             ecml.load_model(path)
         assert str(info.value) == f"{path}: PCA front end outputs 6 dims, but the model takes 8"
+
+    @pytest.mark.parametrize("fault, message", [
+        ("duplicate-permutation-entry", "permutation is not a bijection"),
+        ("nan-projection-entry", "projection has non-finite entries"),
+        ("nan-final-metric-entry", "metric matrix has non-finite entries"),
+        ("non-orthonormal-pca-basis", "PCA basis columns are not orthonormal"),
+    ])
+    def test_fault_in_built_objects_names_the_file(self, tmp_path, rng, fault, message):
+        stage = random_stage(rng, 8, 2)
+        final = ecml.MetricModel(np.eye(8), "rmml", 0.1, 1.0)
+        pca = ecml.PcaModel(mean=np.zeros(12), basis=np.eye(12)[:, :8])
+        path = tmp_path / "m.ecml"
+        ecml.save_model(ecml.CascadeModel((stage,), final, 8, 0), path, pca=pca)
+        blob = bytearray(path.read_bytes())
+        perm = 12 + len("rmml") + struct.calcsize("<ddQII") + 8  # after the stage header
+        projection = perm + 8 * 4
+        metric = projection + 2 * 16 * 8 + 2 * 4 + 4  # past the clamped counts and final dim
+        basis = len(blob) - 12 * 8 * 8
+        at, value = {
+            "duplicate-permutation-entry": (perm, blob[perm + 4 : perm + 8]),
+            "nan-projection-entry": (projection, struct.pack("<d", np.nan)),
+            "nan-final-metric-entry": (metric, struct.pack("<d", np.nan)),
+            "non-orthonormal-pca-basis": (basis, struct.pack("<d", 2.0)),
+        }[fault]
+        blob[at : at + len(value)] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValidationError, match=message) as info:
+            ecml.load_model(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("n_groups", [10**5, 2**32 - 1])
     def test_stage_groups_checked_against_file_size_before_reading(self, tmp_path, n_groups):

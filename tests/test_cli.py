@@ -538,7 +538,7 @@ class TestEval:
             "eval", "--model", str(path),
             "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
         )
-        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
+        assert code == 2 and err.splitlines()[-1] == f"error: {path}: {message}"
 
     def test_huge_stage_group_count_exits_fast(self, workspace):
         # a 56-byte model declaring 2**32 - 1 empty groups; reading them one
@@ -740,10 +740,11 @@ class TestRawBinaryFit:
         ecml.save_features(feats, work / "f.csv")
         ecml.save_pairs(ecml.sample_pairs(labels[:n], 500, 0.5, seed=n), work / "p.csv")
 
-    def fit(self, capsys, work, features, *flags, fmt="raw-binary", pairs="p.csv"):
+    def fit(self, capsys, work, features, *flags, fmt="raw-binary", pairs="p.csv",
+            pca=("--pca-dim", "8")):
         return run(capsys, "fit", "--features", str(work / features), "--format", fmt,
                    "--pairs", str(work / pairs), "--model", str(work / f"{features}.ecml"),
-                   "--pca-dim", "8", *flags)
+                   *pca, *flags)
 
     @pytest.mark.parametrize("n, flags", [
         (360, ["--learner", "kissme"]),
@@ -783,9 +784,12 @@ class TestRawBinaryFit:
             pairs = "far.csv"
             (tmp_path / pairs).write_text((tmp_path / "p.csv").read_text() + "3,360,0\n")
             message = "pair index 360 out of range for 360 samples"
-        code, _, err = self.fit(capsys, tmp_path, "nan.bin", *flags, pairs=pairs)
-        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
-        assert not (tmp_path / "nan.bin.ecml").exists()
+        # without --pca-dim the rows are read in fit_cascade, after the same checks;
+        # the bad-pca-dim fault has no such variant
+        for pca in (("--pca-dim", "8"),) + (((),) if not flags else ()):
+            code, _, err = self.fit(capsys, tmp_path, "nan.bin", *flags, pairs=pairs, pca=pca)
+            assert code == 2 and err.splitlines()[-1] == f"error: {message}"
+            assert not (tmp_path / "nan.bin.ecml").exists()
 
     def test_pair_range_checked_before_pca_fit(self, tmp_path, capsys, monkeypatch):
         self.data_set(tmp_path, 360)

@@ -133,7 +133,13 @@ def _smallest(feats, labels, pairs, model):
     return model, feats, ecml.PairSet(pairs.i[keep], pairs.j[keep], pairs.y[keep])
 
 
-def _last_chunk_of_one(feats, labels, pairs, model):
+def _last_chunk_of_one(*_):
+    # not the fixture's problem but a 32-wide one: there the last pair's bits
+    # differ between a 1-row and a 257-row product, at 12 dims they do not
+    feats, labels, pairs = clustered_problem(
+        seed=31, ids=30, spp=12, dim=32, count=2 * SCORE_CHUNK + 37
+    )
+    model = ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=3)
     # every other pair, so that both classes are drawn
     keep = np.arange(0, len(pairs), 2)[: SCORE_CHUNK + 1]
     return model, feats, ecml.PairSet(pairs.i[keep], pairs.j[keep], pairs.y[keep])

@@ -14,6 +14,8 @@ from ecml.cascade import _shuffle
 from ecml.errors import ValidationError
 from ecml.features import ROW_BLOCK
 
+from conftest import make_stats
+
 
 class TestFeatureMatrix:
     def test_shape_properties(self):
@@ -394,8 +396,11 @@ class TestPca:
             ecml.fit_pca(feats, k)
         finally:
             tracemalloc.stop()
-        # only the mean and the D x k basis: no D x D covariance or eigenvectors
-        assert len(live) == 1 and live[0] < 8 * (d + d * k) + 4096
+        # before eigh, the D x D covariance and the mean, and nothing N x D;
+        # after it, only the mean and the D x k basis: no covariance or eigenvectors
+        assert len(live) == 2
+        assert 8 * d * d <= live[0] < 8 * (d * d + d) + 4096
+        assert live[1] < 8 * (d + d * k) + 4096
 
     @pytest.mark.parametrize(
         "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
@@ -611,16 +616,31 @@ class TestZeroPad:
 
 
 @pytest.mark.parametrize("what, call", [
-    ("pair count", lambda: ecml.sample_pairs([0, 0, 1, 1], 2.5, 0.5, seed=0)),
-    ("identities", lambda: ecml.gen_synthetic(2.5, 5, 3, 1.0, 1.0, seed=0)),
-    ("samples_per_id", lambda: ecml.gen_synthetic(2, 2.5, 3, 1.0, 1.0, seed=0)),
-    ("dim", lambda: ecml.gen_synthetic(2, 5, 2.5, 1.0, 1.0, seed=0)),
-    ("pca dimension", lambda: ecml.fit_pca(ecml.FeatureMatrix(np.eye(6)), 2.5)),
+    ("pair count", lambda v: ecml.sample_pairs([0, 0, 1, 1], v, 0.5, seed=0)),
+    ("identities", lambda v: ecml.gen_synthetic(v, 5, 3, 1.0, 1.0, seed=0)),
+    ("samples_per_id", lambda v: ecml.gen_synthetic(2, v, 3, 1.0, 1.0, seed=0)),
+    ("dim", lambda v: ecml.gen_synthetic(2, 5, v, 1.0, 1.0, seed=0)),
+    ("pca dimension", lambda v: ecml.fit_pca(ecml.FeatureMatrix(np.eye(6)), v)),
 ], ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else "")
 def test_non_integer_count_rejected(what, call):
-    with pytest.raises(ValidationError) as info:
+    for value in (2.5, "3", None):
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert str(info.value) == f"{what} must be an integer >= 1, got {value!r}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ecml.sample_pairs([0, 0, 1, 1], 2, "0.5", seed=0),
+    lambda: ecml.sample_pairs([0, 0, 1, 1], 2, None, seed=0),
+    lambda: ecml.gen_synthetic(2, 5, 3, "1", 1.0, seed=0),
+    lambda: ecml.gen_synthetic(2, 5, 3, 1.0, None, seed=0),
+    lambda: ecml.make_learner("rmml", "0.5"),
+    lambda: ecml.fit_rmml(make_stats(np.random.default_rng(0), 3), None),
+], ids=["pos-fraction-str", "pos-fraction-none", "intra-spread-str", "inter-spread-none",
+        "learner-lambda-str", "rmml-lambda-none"])
+def test_non_numeric_real_argument_rejected(call):
+    with pytest.raises(ValidationError):
         call()
-    assert str(info.value) == f"{what} must be an integer >= 1, got 2.5"
 
 
 @pytest.mark.parametrize("seed", [1.5, 2.0])
