@@ -96,7 +96,8 @@ def run_stages(args):
     for seed in range(args.seeds):
         feats, train, heldout = problem(args, seed)
         for stages in range(args.max_stages + 1):
-            model = fit(feats, train, stages, "rmml", args.lam if stages else 0.5, seed)
+            lam = args.lam if stages else ecml.DEFAULT_LAMBDA
+            model = fit(feats, train, stages, "rmml", lam, seed)
             train_eer[seed, stages] = eer(model, feats, train)
             test_eer[seed, stages] = eer(model, feats, heldout)
 
@@ -134,7 +135,8 @@ def failure_mark(exc):
 
 def run_pca(args):
     feats, train, heldout = problem(args, args.seed)
-    learners = [("rmml", 0.1 if args.stages else 0.5), ("kissme", None),
+    lam = ecml.DEFAULT_CASCADE_LAMBDA if args.stages else ecml.DEFAULT_LAMBDA
+    learners = [("rmml", lam), ("kissme", None),
                 ("genuine-baseline", None)]
     print(f"{'pca dim':>8}" + "".join(f"{name:>18}" for name, _ in learners))
     for k in [None] + list(args.pca_dims):
@@ -170,9 +172,9 @@ def build_parser():
 
     p = sub.add_parser("trend", help="plain vs cascade held-out EER and KL over seeds")
     add_geometry(p, inter_spread=2.0)
-    p.add_argument("--stages", type=int, default=3)
-    p.add_argument("--lambda-plain", type=float, default=0.5)
-    p.add_argument("--lambda-cascade", type=float, default=0.1)
+    p.add_argument("--stages", type=int, default=ecml.DEFAULT_STAGES)
+    p.add_argument("--lambda-plain", type=float, default=ecml.DEFAULT_LAMBDA)
+    p.add_argument("--lambda-cascade", type=float, default=ecml.DEFAULT_CASCADE_LAMBDA)
     p.add_argument("--learner", default="rmml", choices=ecml.metrics.LEARNER_NAMES)
     p.add_argument("--seeds", type=int, default=5)
     p.add_argument("--bins", type=int, default=ecml.DEFAULT_BINS)
@@ -181,13 +183,13 @@ def build_parser():
     p = sub.add_parser("stages", help="train vs held-out EER as the stage count grows")
     add_geometry(p)
     p.add_argument("--max-stages", type=int, default=5)
-    p.add_argument("--lambda", type=float, default=0.1, dest="lam")
+    p.add_argument("--lambda", type=float, default=ecml.DEFAULT_CASCADE_LAMBDA, dest="lam")
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(func=run_stages)
 
     p = sub.add_parser("lambda", help="EER as lambda sweeps 0 to 1.2")
     add_geometry(p)
-    p.add_argument("--stages", type=int, default=3)
+    p.add_argument("--stages", type=int, default=ecml.DEFAULT_STAGES)
     p.add_argument("--seeds", type=int, default=3)
     p.set_defaults(func=run_lambda)
 

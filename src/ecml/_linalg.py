@@ -1,6 +1,7 @@
 """Small array helpers and input checks shared by the ecml modules, and heap release."""
 
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -107,10 +108,19 @@ def _release_free_heap():
         trim(0)
 
 
-def _check_integer(value, what, least):
-    """Raise unless ``value`` is an integer (of any integral type) >= ``least``."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
-        raise ValidationError(f"{what} must be an integer >= {least}, got {value!r}")
+def _check_integer(value, what, least, below=None):
+    """Raise unless ``value`` is an integer of any integral type, not a bool, in [least, below)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least
+            or (below is not None and value >= below)):
+        bound = f">= {least}" if below is None else f"in [{least}, {below})"
+        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
+
+
+def _check_real(value, what, least, most):
+    """Raise unless ``value`` is a finite number of any real type, not a bool, in [least, most]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (least <= value <= most and -math.inf < value < math.inf)):
+        raise ValidationError(f"{what} must be finite and lie in [{least}, {most}], got {value!r}")
 
 
 def _int64_exact(values, what):

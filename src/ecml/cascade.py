@@ -18,7 +18,6 @@ stage outputs bit for bit.
 
 from __future__ import annotations
 
-import numbers
 import struct
 from dataclasses import dataclass
 
@@ -56,11 +55,9 @@ class Projection:
             raise ValidationError(f"projection must be square, got shape {p.shape}")
         if not np.isfinite(p).all():
             raise ValidationError("projection has non-finite entries")
-        clamped = int(_int64_exact(self.clamped_count, "clamped_count"))
-        if clamped < 0:
-            raise ValidationError("clamped_count must be nonnegative")
+        _check_integer(self.clamped_count, "clamped_count", 0)
         object.__setattr__(self, "p", freeze_array(p))
-        object.__setattr__(self, "clamped_count", clamped)
+        object.__setattr__(self, "clamped_count", int(self.clamped_count))
 
     @property
     def dim(self) -> int:
@@ -125,10 +122,8 @@ class CascadeModel:
 
     def __post_init__(self):
         stages = tuple(self.stages)
-        object.__setattr__(self, "input_dim", int(_int64_exact(self.input_dim, "input_dim")))
-        if self.input_dim < 1:
-            raise ValidationError("input_dim must be >= 1")
-        _check_seed(self.seed)
+        _check_integer(self.input_dim, "input_dim", 1)
+        _check_integer(self.seed, "seed", 0, 2**64)
         dim = self.input_dim
         for s, stage in enumerate(stages):
             padded = _padded_width(dim, stage.group_count)
@@ -144,6 +139,7 @@ class CascadeModel:
                 f"last stage output dim {dim}"
             )
         object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -157,13 +153,6 @@ class CascadeModel:
     @property
     def learner(self) -> str:
         return self.final_metric.learner
-
-
-def _check_seed(seed):
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-        raise ValidationError(
-            f"seed must be an integer in [0, 2**64) to fit the model file, got {seed}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +299,7 @@ def fit_cascade(features, pairs: PairSet, stage_count, learner, seed) -> Cascade
             f"{stage_count} stages need at least 2**{stage_count} input dimensions, "
             f"got {features.dim}"
         )
-    _check_seed(seed)
+    _check_integer(seed, "seed", 0, 2**64)  # the model file stores a u64
     stages = []
     input_dim = features.dim
     current, features = map_rows(features), None
@@ -456,7 +445,7 @@ def _read_model(cur):
             for g in range(n_groups)
         ]
         counts = cur.array((n_groups,), "<u4", f"stage {s} clamped counts")
-        projections = tuple(built(Projection, mat, int(c)) for mat, c in zip(mats, counts))
+        projections = tuple(built(Projection, mat, c) for mat, c in zip(mats, counts))
         stages.append(built(StageModel, perm, projections))
     (final_dim,) = cur.unpack("<I", "final metric dim")
     fm = cur.array((final_dim, final_dim), "<f8", "final metric")

@@ -9,13 +9,13 @@ above t, so a score exactly at the threshold penalizes neither side.
 
 from __future__ import annotations
 
-import numbers
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import _int64_exact, _release_free_heap, freeze_array
+from ._linalg import _check_integer, _check_real, _int64_exact, _release_free_heap, freeze_array
 from .cascade import CascadeModel, _check_rows, transform
 from .errors import ValidationError
 from .features import (
@@ -91,12 +91,9 @@ class EvalReport:
 
     def __post_init__(self):
         roc = np.asarray(self.roc, dtype=np.float64).reshape(-1, 3)
-        if not 0.0 <= self.eer <= 1.0:
-            raise ValidationError(f"eer must lie in [0, 1], got {self.eer}")
-        if not np.isfinite(self.threshold):
-            raise ValidationError(f"threshold must be finite, got {self.threshold}")
-        if not 0.0 <= self.kl_pos_neg < np.inf:
-            raise ValidationError(f"kl must be finite and nonnegative, got {self.kl_pos_neg}")
+        _check_real(self.eer, "eer", 0, 1)
+        _check_real(self.threshold, "threshold", -math.inf, math.inf)
+        _check_real(self.kl_pos_neg, "kl", 0, math.inf)
         object.__setattr__(self, "eer", float(self.eer))
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "kl_pos_neg", float(self.kl_pos_neg))
@@ -238,10 +235,7 @@ def _eer(thresholds, far, frr) -> EerResult:
 
 
 def _check_bins(bins):
-    if not isinstance(bins, numbers.Integral):
-        raise ValidationError(f"bins must be an integer, got {bins}")
-    if bins < 1:
-        raise ValidationError(f"bins must be >= 1, got {bins}")
+    _check_integer(bins, "bins", 1)
 
 
 def kl_divergence(scored: ScoredPairs, bins: int = DEFAULT_BINS) -> float:

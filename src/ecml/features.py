@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import os
 import re
 import struct
@@ -31,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (_check_integer, _int64_exact, _release_free_heap, fix_column_signs,
-                      freeze_array, row_blocks)
+from ._linalg import (_check_integer, _check_real, _int64_exact, _release_free_heap,
+                      fix_column_signs, freeze_array, row_blocks)
 from .errors import NumericalError, ValidationError
 
 FEATURE_MAGIC = b"CMF1"
@@ -614,8 +613,7 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     if labels.ndim != 1 or labels.size < 2:
         raise ValidationError("labels must be a 1-D array of at least 2 samples")
     _check_integer(count, "pair count", 1)
-    if not (isinstance(pos_fraction, numbers.Real) and 0.0 <= pos_fraction <= 1.0):
-        raise ValidationError(f"pos_fraction must lie in [0, 1], got {pos_fraction!r}")
+    _check_real(pos_fraction, "pos_fraction", 0, 1)
     n = labels.size
     n_pos = int(round(count * pos_fraction))
     n_neg = count - n_pos
@@ -675,8 +673,7 @@ def _unrank(counts, ranks):
 
 
 def _rng(seed):
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    _check_integer(seed, "seed", 0)
     return np.random.default_rng(seed)
 
 
@@ -688,8 +685,8 @@ def gen_synthetic(identities, samples_per_id, dim, intra_spread, inter_spread, s
     """
     for v, what in zip((identities, samples_per_id, dim), ("identities", "samples_per_id", "dim")):
         _check_integer(v, what, 1)
-    if not all(isinstance(v, numbers.Real) and v > 0 for v in (intra_spread, inter_spread)):
-        raise ValidationError("spreads must be positive")
+    for v, what in zip((intra_spread, inter_spread), ("intra_spread", "inter_spread")):
+        _check_real(v, what, math.ulp(0.0), math.inf)  # the least positive float: spreads are > 0
     rng = _rng(seed)
     means = rng.normal(0.0, inter_spread, size=(identities, dim))
     data = rng.normal(0.0, intra_spread, size=(identities * samples_per_id, dim))

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _int64_exact, _release_free_heap, freeze_array, is_symmetric, symmetrize
+from ._linalg import (_check_integer, _check_real, _release_free_heap, freeze_array, is_symmetric,
+                      symmetrize)
 from .errors import DegenerateStats, SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
 
@@ -70,8 +70,8 @@ class DifferenceStats:
         sn = np.asarray(self.sum_neg, dtype=np.float64)
         if sp.ndim != 2 or sp.shape[0] != sp.shape[1] or sp.shape != sn.shape:
             raise ValidationError("sum matrices must be square and of equal shape")
-        if self.n_pos < 1 or self.n_neg < 1:
-            raise ValidationError("need at least one matched and one unmatched pair")
+        _check_integer(self.n_pos, "n_pos", 1)
+        _check_integer(self.n_neg, "n_neg", 1)
         for name, mat in (("matched", sp), ("unmatched", sn)):
             if not np.isfinite(mat).all():
                 raise ValidationError(f"{name} sum matrix has non-finite entries")
@@ -82,8 +82,8 @@ class DifferenceStats:
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
         object.__setattr__(self, "sum_pos", freeze_array(sp))
         object.__setattr__(self, "sum_neg", freeze_array(sn))
-        object.__setattr__(self, "n_pos", int(_int64_exact(self.n_pos, "n_pos")))
-        object.__setattr__(self, "n_neg", int(_int64_exact(self.n_neg, "n_neg")))
+        object.__setattr__(self, "n_pos", int(self.n_pos))
+        object.__setattr__(self, "n_neg", int(self.n_neg))
 
     @property
     def tr_pos(self) -> float:
@@ -119,8 +119,13 @@ class MetricModel:
         m = symmetrize(m)
         if not np.isfinite(m).all():
             raise ValidationError("metric matrix has non-finite entries")
-        if not self.learner:
-            raise ValidationError("learner tag must be a nonempty string")
+        if not (isinstance(self.learner, str) and self.learner):
+            raise ValidationError(f"learner tag must be a nonempty string, got {self.learner!r}")
+        for name, what in (("lam", "lambda"), ("rho", "rho")):
+            value = getattr(self, name)
+            if value is not None:
+                _check_real(value, what, 0, math.inf)
+                object.__setattr__(self, name, float(value))
         object.__setattr__(self, "matrix", freeze_array(m))
 
     @property
@@ -254,7 +259,7 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
     the absolute eigenvalues of C, which puts C on the magnitude of the
     identity. No covariance inversion is involved anywhere on this path.
     """
-    _check_lambda(lam)
+    _check_real(lam, "lambda", 0, math.inf)
     if stats.tr_pos <= 0.0:
         raise DegenerateStats("all matched pair differences are zero (tr_pos = 0)")
     if stats.tr_neg <= 0.0:
@@ -266,11 +271,6 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
     m = np.eye(stats.dim) + lam * (contrast / rho)
     m.setflags(write=False)  # so that MetricModel keeps it uncopied
     return MetricModel(matrix=m, learner="rmml", lam=float(lam), rho=rho)
-
-
-def _check_lambda(lam):
-    if not (isinstance(lam, numbers.Real) and math.isfinite(lam) and lam >= 0):
-        raise ValidationError(f"lambda must be finite and nonnegative, got {lam!r}")
 
 
 def _spd_inverse(sigma, label):
@@ -320,6 +320,7 @@ def objective(stats: DifferenceStats, matrix, lam: float) -> float:
     regularizer whose gradient (M - I) makes ``fit_rmml`` the exact
     stationary point.
     """
+    _check_real(lam, "lambda", 0, math.inf)
     m = np.asarray(matrix, dtype=np.float64)
     if m.shape != stats.sum_pos.shape:
         raise ValidationError(f"matrix shape {m.shape} does not match stats dim {stats.dim}")
@@ -338,7 +339,7 @@ def make_learner(name: str, lam: float | None = None):
     A given ``lam`` is checked for every learner, although only rmml uses it.
     """
     if lam is not None:
-        _check_lambda(lam)
+        _check_real(lam, "lambda", 0, math.inf)
     if name == "rmml":
         return functools.partial(fit_rmml, lam=DEFAULT_LAMBDA if lam is None else float(lam))
     if name == "kissme":

@@ -3,6 +3,7 @@
 import builtins
 import itertools
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -424,7 +425,7 @@ class TestFitCascade:
         feats, _, pairs = clustered_problem(seed=12, dim=8)
         # a 0-stage fit draws nothing, so no generator rejects the seed for it
         for stages in (0, 1):
-            with pytest.raises(ValidationError, match=r"2\*\*64"):
+            with pytest.raises(ValidationError, match=re.escape(f"in [0, {2**64})")):
                 ecml.fit_cascade(feats, pairs, stages, ecml.make_learner("rmml", 0.1), seed=seed)
 
     @pytest.mark.parametrize("stages", [0, 2])
@@ -443,7 +444,7 @@ class TestFitCascade:
         monkeypatch.setattr(ecml.FeatureFile, "load", unreadable)
         monkeypatch.setattr(ecml.FeatureFile, "blocks", unreadable)
         for bad_stages, seed, message in ((5, 0, r"2\*\*5 input dimensions, got 16"),
-                                          (stages, -1, r"2\*\*64")):
+                                          (stages, -1, re.escape(f"in [0, {2**64})"))):
             with pytest.raises(ValidationError, match=message):
                 ecml.fit_cascade(ecml.FeatureFile(path), pairs, bad_stages, learner, seed=seed)
         monkeypatch.undo()
@@ -651,14 +652,14 @@ class TestTransformAndDistance:
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: ecml.Projection(np.eye(2), 1.5), "clamped_count must be integer-valued, got 1.5"),
+    (lambda: ecml.Projection(np.eye(2), 1.5), "clamped_count must be an integer >= 0, got 1.5"),
     (lambda: ecml.StageModel([0.5, 1.2], (ecml.Projection(np.eye(1), 0),) * 2),
      "permutation must be integer-valued, got 0.5"),
     # its stage pads 8.5 columns, like 8, to 12; the file would store 8, which pads to 8
     (lambda: ecml.CascadeModel(
         (ecml.StageModel(np.arange(12), (ecml.Projection(np.eye(3), 0),) * 4),),
         ecml.MetricModel(np.eye(12), "rmml"), 8.5, 0,
-    ), "input_dim must be integer-valued, got 8.5"),
+    ), "input_dim must be an integer >= 1, got 8.5"),
 ], ids=["clamped-count", "permutation", "input-dim"])
 def test_constructors_reject_values_int64_would_change(build, message):
     with pytest.raises(ValidationError) as info:

@@ -466,7 +466,7 @@ class TestEval:
                 "eval", "--model", str(workspace / "m.ecml"), "--bins", "0", "--format", fmt,
                 "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
             )
-            assert code == 2 and "bins must be >= 1" in err
+            assert code == 2 and "bins must be an integer >= 1" in err
 
     @pytest.mark.parametrize(
         "stages", [[], ["--cascade", "--stages", "1"]], ids=["plain", "cascade"]
@@ -970,6 +970,31 @@ class TestInspect:
         path.write_bytes(bytes(blob))
         code, _, err = run(capsys, "inspect", "--model", str(path))
         assert code == 2 and "UTF-8" in err
+
+    @pytest.mark.parametrize("offset, name, value", [
+        (16, "lambda", -1.0), (16, "lambda", float("inf")),
+        (24, "rho", -3.0), (24, "rho", float("inf")),
+    ], ids=["lambda-negative", "lambda-inf", "rho-negative", "rho-inf"])
+    def test_corrupt_lambda_or_rho_header_fails_closed(
+        self, workspace, capsys, offset, name, value
+    ):
+        path = workspace / "mh.ecml"
+        run(
+            capsys,
+            "fit", "--features", str(workspace / "f.csv"),
+            "--pairs", str(workspace / "p.csv"), "--model", str(path),
+        )
+        blob = bytearray(path.read_bytes())
+        # "ECML", u32 version, u32 tag length and the tag "rmml" fill bytes 0-15;
+        # f64 lambda and f64 rho follow
+        struct.pack_into("<d", blob, offset, value)
+        path.write_bytes(bytes(blob))
+        message = f"{path}: {name} must be finite and lie in [0, inf], got {value!r}"
+        with pytest.raises(ecml.ValidationError) as info:
+            ecml.load_model(path)
+        assert str(info.value) == message
+        code, _, err = run(capsys, "inspect", "--model", str(path))
+        assert code == 2 and err.splitlines()[-1] == f"error: {message}"
 
 
 # Fits the 3-stage rmml cascade (seed 0) twice from synthetic raw-binary

@@ -259,7 +259,7 @@ class TestEvaluate:
         for features in (source, feats):
             with pytest.raises(ValidationError) as info:
                 ecml.evaluate(model, features, pairs, bins=bins)
-            assert str(info.value) == f"bins must be >= 1, got {bins}"
+            assert str(info.value) == f"bins must be an integer >= 1, got {bins}"
 
     @pytest.mark.parametrize("stages", [0, 2])
     def test_peak_is_mapped_rows_plus_chunk_buffers(self, rng, stages):
@@ -460,7 +460,7 @@ def test_non_integer_bins_rejected(entry, bins):
     }
     with pytest.raises(ValidationError) as info:
         calls[entry]()
-    assert str(info.value) == f"bins must be an integer, got {bins}"
+    assert str(info.value) == f"bins must be an integer >= 1, got {bins}"
 
 
 class TestReport:
@@ -496,7 +496,7 @@ class TestReport:
         # a degenerate report computes no KL, the other place bins is checked
         with pytest.raises(ValidationError) as info:
             ecml.build_report(scored([1.0, 1.0], [1.0]), bins=bins)
-        assert str(info.value) == f"bins must be >= 1, got {bins}"
+        assert str(info.value) == f"bins must be an integer >= 1, got {bins}"
 
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(19)

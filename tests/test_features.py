@@ -1,8 +1,10 @@
 """Tests for feature I/O, PCA, pair sampling, padding, and generation."""
 
+import ast
 import os
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from ecml.cascade import _shuffle
 from ecml.errors import ValidationError
 from ecml.features import ROW_BLOCK
 
-from conftest import make_stats
+from conftest import clustered_problem, make_stats
 
 
 class TestFeatureMatrix:
@@ -623,7 +625,7 @@ class TestZeroPad:
     ("pca dimension", lambda v: ecml.fit_pca(ecml.FeatureMatrix(np.eye(6)), v)),
 ], ids=lambda v: v.replace(" ", "-") if isinstance(v, str) else "")
 def test_non_integer_count_rejected(what, call):
-    for value in (2.5, "3", None):
+    for value in (2.5, "3", None, True):
         with pytest.raises(ValidationError) as info:
             call(value)
         assert str(info.value) == f"{what} must be an integer >= 1, got {value!r}"
@@ -636,8 +638,23 @@ def test_non_integer_count_rejected(what, call):
     lambda: ecml.gen_synthetic(2, 5, 3, 1.0, None, seed=0),
     lambda: ecml.make_learner("rmml", "0.5"),
     lambda: ecml.fit_rmml(make_stats(np.random.default_rng(0), 3), None),
+    lambda: ecml.gen_synthetic(2, 5, 3, True, 1.0, seed=0),
+    lambda: ecml.make_learner("rmml", True),
+    lambda: ecml.MetricModel(np.eye(2), "rmml", float("nan")),
+    lambda: ecml.DifferenceStats(np.eye(2), np.eye(2), "3", 1),
+    lambda: ecml.EvalReport("x", 0, 0),
+    lambda: ecml.objective(make_stats(np.random.default_rng(0), 2), np.eye(2), "x"),
+    lambda: ecml.MetricModel(np.eye(2), 3),
+    lambda: ecml.MetricModel(np.eye(2), "rmml", "x"),
+    # clustered_problem(...)[::2] is (features, pairs)
+    lambda: ecml.fit_cascade(*clustered_problem(seed=1, dim=4)[::2], True,
+                             ecml.make_learner("rmml"), seed=0),
+    lambda: ecml.evaluate(ecml.CascadeModel((), ecml.MetricModel(np.eye(16), "rmml"), 16, 0),
+                          *clustered_problem(seed=1)[::2], bins=True),
 ], ids=["pos-fraction-str", "pos-fraction-none", "intra-spread-str", "inter-spread-none",
-        "learner-lambda-str", "rmml-lambda-none"])
+        "learner-lambda-str", "rmml-lambda-none", "intra-spread-true", "learner-lambda-true",
+        "metric-lambda-nan", "stats-count-str", "report-eer-str", "objective-lambda-str",
+        "metric-learner-int", "metric-lambda-str", "cascade-stages-true", "eval-bins-true"])
 def test_non_numeric_real_argument_rejected(call):
     with pytest.raises(ValidationError):
         call()
@@ -650,8 +667,20 @@ def test_non_integer_seed_rejected(entry, seed):
         "sample_pairs": lambda: ecml.sample_pairs([0, 0, 1, 1], 2, 0.5, seed=seed),
         "gen_synthetic": lambda: ecml.gen_synthetic(2, 5, 3, 1.0, 1.0, seed=seed),
     }
-    with pytest.raises(ValidationError, match="seed must be a nonnegative integer, got"):
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0, got"):
         draws[entry]()
+
+
+def test_argument_policy_stated_in_one_module():
+    # only _linalg's _check_integer and _check_real decide what an integer or a real is
+    users = set()
+    for path in Path(ecml.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id == "numbers"
+                    or isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names]
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                users.add(path.name)
+    assert users == {"_linalg.py"}
 
 
 class TestGenSynthetic:

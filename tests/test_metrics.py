@@ -254,9 +254,11 @@ class TestDifferenceStatsInvariants:
             ecml.DifferenceStats(np.eye(2), np.eye(2), 0, 1)
 
     def test_rejects_counts_int64_would_change(self):
-        with pytest.raises(ValidationError, match="n_pos must be integer-valued, got 2.5"):
-            ecml.DifferenceStats(np.eye(2), np.eye(2), 2.5, 3)
-        assert ecml.DifferenceStats(np.eye(2), np.eye(2), 2.0, 3).n_pos == 2
+        # an integral float is refused too, as every other count argument refuses it
+        for count in (2.5, 2.0):
+            message = f"n_pos must be an integer >= 1, got {count}"
+            with pytest.raises(ValidationError, match=message):
+                ecml.DifferenceStats(np.eye(2), np.eye(2), count, 3)
 
 
 class TestMetricModel:
