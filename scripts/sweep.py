@@ -20,12 +20,16 @@ Subcommands:
   pca     held-out EER across PCA output dimensionalities for each learner.
           PCA is fitted on the feature matrix and the learners are trained on
           the projected features; the raw (no-PCA) row is included for
-          reference. ``--`` marks covariance-inversion failures
-          (SingularCovariance), ``deg`` degenerate pair statistics
-          (DegenerateStats, e.g. rmml on 1-wide cascade groups), ``err``
-          any other numerical failure and ``n/a`` a configuration that
-          cannot be fitted at all (ValidationError, e.g. 3 stages on fewer
-          than 2**3 PCA dimensions).
+          reference.
+
+A fit that fails is marked, not fatal. A per-seed cell reads ``--`` for a
+covariance-inversion failure (SingularCovariance), ``err`` for any other
+numerical failure and ``n/a`` for a configuration that cannot be fitted at all
+(ValidationError, e.g. 3 stages on fewer than 2**3 PCA dimensions). A mean or
+std over seeds reads the mark of the first seed that failed, if any did, and
+``trend`` counts wins only over the seeds where both arms fit. rmml has an
+answer for every group (a zero contrast gives M = I, and rho None since no
+normalizer was applied), so it fails only on unfittable configurations.
 
 Every subcommand samples one pair pool per seed and splits it into disjoint
 train and held-out pairs with ``split_pairs``.
@@ -57,80 +61,97 @@ def problem(args, seed):
 
 
 def fit(feats, pairs, stages, learner, lam, seed):
-    return ecml.fit_cascade(feats, pairs, stages, ecml.make_learner(learner, lam), seed)
-
-
-def eer(model, feats, pairs):
-    return ecml.evaluate(model, feats, pairs).eer
-
-
-def run_trend(args):
-    rows = []
-    print(f"{'seed':>4} {'eer plain':>10} {'eer casc':>10} {'kl plain':>10} {'kl casc':>10}")
-    for seed in range(args.seeds):
-        feats, train, heldout = problem(args, seed)
-        plain = fit(feats, train, 0, args.learner, args.lambda_plain, seed)
-        casc = fit(feats, train, args.stages, args.learner, args.lambda_cascade, seed)
-        rep_p = ecml.evaluate(plain, feats, heldout, bins=args.bins)
-        rep_c = ecml.evaluate(casc, feats, heldout, bins=args.bins)
-        row = (rep_p.eer, rep_c.eer, rep_p.kl_pos_neg, rep_c.kl_pos_neg)
-        rows.append(row)
-        print(f"{seed:>4} {row[0]:>10.4f} {row[1]:>10.4f} {row[2]:>10.3f} {row[3]:>10.3f}")
-
-    arr = np.asarray(rows)
-    print("-" * 48)
-    print(f"mean {arr[:,0].mean():>10.4f} {arr[:,1].mean():>10.4f} "
-          f"{arr[:,2].mean():>10.3f} {arr[:,3].mean():>10.3f}")
-    if args.seeds > 1:
-        print(f"std  {arr[:,0].std(ddof=1):>10.4f} {arr[:,1].std(ddof=1):>10.4f} "
-              f"{arr[:,2].std(ddof=1):>10.3f} {arr[:,3].std(ddof=1):>10.3f}")
-    eer_wins = int((arr[:, 1] <= arr[:, 0]).sum())
-    kl_wins = int((arr[:, 3] >= arr[:, 2]).sum())
-    print(f"cascade eer <= plain on {eer_wins}/{args.seeds} seeds; "
-          f"cascade kl >= plain on {kl_wins}/{args.seeds} seeds")
-
-
-def run_stages(args):
-    train_eer = np.zeros((args.seeds, args.max_stages + 1))
-    test_eer = np.zeros_like(train_eer)
-    for seed in range(args.seeds):
-        feats, train, heldout = problem(args, seed)
-        for stages in range(args.max_stages + 1):
-            lam = args.lam if stages else ecml.DEFAULT_LAMBDA
-            model = fit(feats, train, stages, "rmml", lam, seed)
-            train_eer[seed, stages] = eer(model, feats, train)
-            test_eer[seed, stages] = eer(model, feats, heldout)
-
-    print(f"{'stages':>7} {'train eer':>10} {'heldout eer':>12}")
-    for stages in range(args.max_stages + 1):
-        print(f"{stages:>7} {train_eer[:, stages].mean():>10.4f} "
-              f"{test_eer[:, stages].mean():>12.4f}")
-
-
-def run_lambda(args):
-    lams = [round(0.1 * k, 1) for k in range(13)]
-    plain = np.zeros((args.seeds, len(lams)))
-    casc = np.zeros_like(plain)
-    for seed in range(args.seeds):
-        feats, train, heldout = problem(args, seed)
-        for k, lam in enumerate(lams):
-            plain[seed, k] = eer(fit(feats, train, 0, "rmml", lam, seed), feats, heldout)
-            casc[seed, k] = eer(fit(feats, train, args.stages, "rmml", lam, seed), feats, heldout)
-
-    print(f"{'lambda':>7} {'eer plain':>10} {'eer cascade':>12}")
-    for k, lam in enumerate(lams):
-        print(f"{lam:>7.1f} {plain[:, k].mean():>10.4f} {casc[:, k].mean():>12.4f}")
+    """The fitted model, or the failure mark of the exception its fit raised."""
+    try:
+        return ecml.fit_cascade(feats, pairs, stages, ecml.make_learner(learner, lam), seed)
+    except (ecml.NumericalError, ecml.ValidationError) as exc:
+        return failure_mark(exc)
 
 
 def failure_mark(exc):
     """The table cell that stands for a fit that raised ``exc``."""
     if isinstance(exc, ecml.SingularCovariance):
         return "--"
-    if isinstance(exc, ecml.DegenerateStats):
-        return "deg"
     if isinstance(exc, ecml.ValidationError):
         return "n/a"
     return "err"
+
+
+def eer(model, feats, pairs):
+    """The EER of ``model``, or ``model`` itself when it is a failure mark."""
+    return model if isinstance(model, str) else ecml.evaluate(model, feats, pairs).eer
+
+
+def cell(value, width, digits=4):
+    """A right-aligned table cell: a number to ``digits`` places, or a failure mark."""
+    return f"{value:>{width}}" if isinstance(value, str) else f"{value:>{width}.{digits}f}"
+
+
+def summary(values, stat, width, digits=4):
+    """A cell of ``stat`` over per-seed values, or the first failure mark among them."""
+    marks = [v for v in values if isinstance(v, str)]
+    return cell(marks[0] if marks else float(stat(values)), width, digits)
+
+
+def run_trend(args):
+    rows = []
+    digits = (4, 4, 3, 3)
+    print(f"{'seed':>4} {'eer plain':>10} {'eer casc':>10} {'kl plain':>10} {'kl casc':>10}")
+    for seed in range(args.seeds):
+        feats, train, heldout = problem(args, seed)
+        reps = []
+        for stages, lam in ((0, args.lambda_plain), (args.stages, args.lambda_cascade)):
+            model = fit(feats, train, stages, args.learner, lam, seed)
+            reps.append(model if isinstance(model, str)
+                        else ecml.evaluate(model, feats, heldout, bins=args.bins))
+        # a failed arm's mark stands in both of its cells
+        row = [getattr(r, "eer", r) for r in reps] + [getattr(r, "kl_pos_neg", r) for r in reps]
+        rows.append(row)
+        print(f"{seed:>4}" + "".join(" " + cell(v, 10, d) for v, d in zip(row, digits)))
+
+    columns = list(zip(*rows))
+    std = lambda v: np.std(v, ddof=1)
+    print("-" * 48)
+    print("mean" + "".join(" " + summary(c, np.mean, 10, d) for c, d in zip(columns, digits)))
+    if args.seeds > 1:
+        print("std " + "".join(" " + summary(c, std, 10, d) for c, d in zip(columns, digits)))
+    paired = np.asarray([r for r in rows if not any(isinstance(v, str) for v in r)]).reshape(-1, 4)
+    eer_wins = int((paired[:, 1] <= paired[:, 0]).sum())
+    kl_wins = int((paired[:, 3] >= paired[:, 2]).sum())
+    print(f"cascade eer <= plain on {eer_wins}/{len(paired)} seeds; "
+          f"cascade kl >= plain on {kl_wins}/{len(paired)} seeds")
+
+
+def run_stages(args):
+    train_eer = [[] for _ in range(args.max_stages + 1)]
+    test_eer = [[] for _ in range(args.max_stages + 1)]
+    for seed in range(args.seeds):
+        feats, train, heldout = problem(args, seed)
+        for stages in range(args.max_stages + 1):
+            lam = args.lam if stages else ecml.DEFAULT_LAMBDA
+            model = fit(feats, train, stages, "rmml", lam, seed)
+            train_eer[stages].append(eer(model, feats, train))
+            test_eer[stages].append(eer(model, feats, heldout))
+
+    print(f"{'stages':>7} {'train eer':>10} {'heldout eer':>12}")
+    for stages in range(args.max_stages + 1):
+        print(f"{stages:>7} {summary(train_eer[stages], np.mean, 10)} "
+              f"{summary(test_eer[stages], np.mean, 12)}")
+
+
+def run_lambda(args):
+    lams = [round(0.1 * k, 1) for k in range(13)]
+    plain = [[] for _ in lams]
+    casc = [[] for _ in lams]
+    for seed in range(args.seeds):
+        feats, train, heldout = problem(args, seed)
+        for k, lam in enumerate(lams):
+            plain[k].append(eer(fit(feats, train, 0, "rmml", lam, seed), feats, heldout))
+            casc[k].append(eer(fit(feats, train, args.stages, "rmml", lam, seed), feats, heldout))
+
+    print(f"{'lambda':>7} {'eer plain':>10} {'eer cascade':>12}")
+    for k, lam in enumerate(lams):
+        print(f"{lam:>7.1f} {summary(plain[k], np.mean, 10)} {summary(casc[k], np.mean, 12)}")
 
 
 def run_pca(args):
@@ -146,11 +167,8 @@ def run_pca(args):
             reduced, tag = ecml.apply_pca(ecml.fit_pca(feats, k), feats), str(k)
         cells = []
         for name, lam in learners:
-            try:
-                model = fit(reduced, train, args.stages, name, lam, args.seed)
-                cells.append(f"{eer(model, reduced, heldout):>18.4f}")
-            except (ecml.NumericalError, ecml.ValidationError) as exc:
-                cells.append(f"{failure_mark(exc):>18}")
+            model = fit(reduced, train, args.stages, name, lam, args.seed)
+            cells.append(cell(eer(model, reduced, heldout), 18))
         print(f"{tag:>8}" + "".join(cells))
 
 

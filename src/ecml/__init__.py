@@ -21,7 +21,6 @@ from .cascade import (
     transform,
 )
 from .errors import (
-    DegenerateStats,
     EcmlError,
     NumericalError,
     SingularCovariance,

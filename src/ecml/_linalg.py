@@ -1,8 +1,8 @@
 """Small array helpers and input checks shared by the ecml modules, and heap release."""
 
 import functools
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -117,9 +117,9 @@ def _check_integer(value, what, least, below=None):
 
 
 def _check_real(value, what, least, most):
-    """Raise unless ``value`` is a finite number of any real type, not a bool, in [least, most]."""
+    """Raise unless ``value`` is a real number a float holds finitely, not a bool, in [least, most]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (least <= value <= most and -math.inf < value < math.inf)):
+            or not (least <= value <= most and abs(value) <= sys.float_info.max)):
         raise ValidationError(f"{what} must be finite and lie in [{least}, {most}], got {value!r}")
 
 

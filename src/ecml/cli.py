@@ -60,7 +60,9 @@ def _config_value(path, key, value, action):
     elif action.type is int:
         ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
     elif action.type is float:
-        ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+        # JSON gives an int or a float; an int beyond float range is no float
+        ok = isinstance(value, float) or type(value) is int and abs(value) <= sys.float_info.max
+        kind = "a number"
     elif action.nargs == "+":
         ok = isinstance(value, str) or (
             isinstance(value, list) and all(isinstance(v, str) for v in value)
@@ -180,14 +182,6 @@ def cmd_fit(args):
         pairs = feat.load_pairs(args.pairs)
     # an opened raw-binary file has read only its header, so no row is read yet
     pairs.check_against(features)
-    width = features.dim if args.pca_dim is None else args.pca_dim
-    # 2**stages stage-0 groups of a 2**stages-wide input are 1 wide, and
-    # rmml's trace-normalized contrast of a 1 x 1 sum is identically zero
-    if args.cascade and args.learner == "rmml" and width == 2**args.stages:
-        raise ValidationError(
-            f"--learner rmml cannot fit --stages {args.stages} on {width}-dim features: "
-            "its stage-0 groups would be 1 wide"
-        )
     pca = None
     if args.pca_dim is not None:
         with _phase("pca"):

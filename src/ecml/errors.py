@@ -15,7 +15,3 @@ class NumericalError(EcmlError):
 
 class SingularCovariance(NumericalError):
     """A covariance matrix is singular or too ill-conditioned to invert."""
-
-
-class DegenerateStats(NumericalError):
-    """Accumulated pair statistics carry no usable signal."""

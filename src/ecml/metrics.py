@@ -16,7 +16,7 @@ import numpy as np
 
 from ._linalg import (_check_integer, _check_real, _release_free_heap, freeze_array, is_symmetric,
                       symmetrize)
-from .errors import DegenerateStats, SingularCovariance, ValidationError
+from .errors import SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
 
 COND_LIMIT = 1e12
@@ -103,7 +103,7 @@ class MetricModel:
     """Learned symmetric Mahalanobis matrix with its provenance.
 
     ``lam`` and ``rho`` are populated by the rmml learner only; ``rho`` is
-    the eigenvalue normalizer that was actually applied.
+    the eigenvalue normalizer that was actually applied, None if none was.
     """
 
     matrix: np.ndarray
@@ -254,23 +254,29 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
     """Closed-form robust metric: M = I + lam * C / rho.
 
     C contrasts the trace-normalized unmatched and matched difference sums
-    (sum_neg / tr_neg - sum_pos / tr_pos). Because trace(C) is identically
-    zero, the plain mean eigenvalue cannot normalize it; rho is the mean of
-    the absolute eigenvalues of C, which puts C on the magnitude of the
-    identity. No covariance inversion is involved anywhere on this path.
+    (``_contrast``). Because trace(C) is zero, rho is the mean of the absolute
+    eigenvalues of C, which puts C on the magnitude of the identity. Below
+    ``RHO_FLOOR`` C is numerically zero, the objective's gradient is M - I,
+    and M = I is returned with ``rho`` None: no normalizer was applied.
+    Nothing is inverted, so any stats have an answer.
     """
     _check_real(lam, "lambda", 0, math.inf)
-    if stats.tr_pos <= 0.0:
-        raise DegenerateStats("all matched pair differences are zero (tr_pos = 0)")
-    if stats.tr_neg <= 0.0:
-        raise DegenerateStats("all unmatched pair differences are zero (tr_neg = 0)")
-    contrast = stats.sum_neg / stats.tr_neg - stats.sum_pos / stats.tr_pos
+    contrast = _contrast(stats)
     rho = float(np.abs(np.linalg.eigvalsh(symmetrize(contrast))).mean())
     if rho < RHO_FLOOR:
-        raise DegenerateStats(f"contrast matrix is numerically zero (mean |eigenvalue| = {rho:.3e})")
-    m = np.eye(stats.dim) + lam * (contrast / rho)
+        m, rho = np.eye(stats.dim), None
+    else:
+        m = np.eye(stats.dim) + lam * (contrast / rho)
     m.setflags(write=False)  # so that MetricModel keeps it uncopied
     return MetricModel(matrix=m, learner="rmml", lam=float(lam), rho=rho)
+
+
+def _contrast(stats):
+    """C = sum_neg / tr_neg - sum_pos / tr_pos with 0/0 taken as 0: a class whose
+    differences are all zero adds no term, and only then is a zero array made for it."""
+    def scatter(total, trace):
+        return total / trace if trace > 0.0 else np.zeros_like(total)
+    return scatter(stats.sum_neg, stats.tr_neg) - scatter(stats.sum_pos, stats.tr_pos)
 
 
 def _spd_inverse(sigma, label):
@@ -315,19 +321,16 @@ def fit_genuine_baseline(stats: DifferenceStats) -> MetricModel:
 def objective(stats: DifferenceStats, matrix, lam: float) -> float:
     """Evaluate lam * g1 + g2 at M.
 
-    g1 = tr(sum_pos M)/tr_pos - tr(sum_neg M)/tr_neg contrasts the
-    normalized matched/unmatched distances; g2 = 0.5 * ||M - I||_F^2 is the
-    regularizer whose gradient (M - I) makes ``fit_rmml`` the exact
+    g1 = tr(sum_pos M)/tr_pos - tr(sum_neg M)/tr_neg = -tr(C M) (``_contrast``)
+    contrasts the normalized matched/unmatched distances; g2 = 0.5 * ||M - I||_F^2
+    is the regularizer whose gradient (M - I) makes ``fit_rmml`` the exact
     stationary point.
     """
     _check_real(lam, "lambda", 0, math.inf)
     m = np.asarray(matrix, dtype=np.float64)
     if m.shape != stats.sum_pos.shape:
         raise ValidationError(f"matrix shape {m.shape} does not match stats dim {stats.dim}")
-    g1 = (
-        np.einsum("ij,ji->", stats.sum_pos, m) / stats.tr_pos
-        - np.einsum("ij,ji->", stats.sum_neg, m) / stats.tr_neg
-    )
+    g1 = -np.einsum("ij,ji->", _contrast(stats), m)
     delta = m - np.eye(m.shape[0])
     g2 = 0.5 * float((delta * delta).sum())
     return float(lam * g1 + g2)

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,21 @@ def no_thread_outlives_test():
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     assert not left, f"threads still alive after the test: {left}"
+
+
+def run_python(*args, threads=1, timeout=120, check=True):
+    """Run ``python *args`` in a child with the package's ``src`` on PYTHONPATH.
+
+    OpenBLAS and OpenMP get ``threads`` threads; model bytes depend on the
+    BLAS thread count. Output is captured as text.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    src = str(Path(ecml.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout,
+        check=check,
+    )
 
 
 @pytest.fixture

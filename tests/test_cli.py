@@ -4,10 +4,7 @@ import dataclasses
 import json
 import os
 import struct
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +12,7 @@ import pytest
 import ecml
 from ecml import cli
 
+from conftest import run_python
 from test_evaluation import reference_scores
 
 
@@ -195,7 +193,10 @@ class TestFit:
         assert model.final_metric.lam == 0.2
         assert model.seed == 3
 
-    @pytest.mark.parametrize("bad", [{"stages": "three"}, {"cascade": "no"}, {"seed": 1.5}])
+    # a 401-digit integer is a JSON number, but no float holds it
+    @pytest.mark.parametrize(
+        "bad", [{"stages": "three"}, {"cascade": "no"}, {"seed": 1.5}, {"lambda": 10**400}]
+    )
     def test_config_value_of_wrong_type(self, workspace, capsys, bad):
         cfg = workspace / "bad.json"
         cfg.write_text(json.dumps(bad))
@@ -233,22 +234,17 @@ class TestFit:
         assert not (workspace / "x.ecml").exists()
 
     @pytest.mark.parametrize("flags", [["--stages", "4"], ["--pca-dim", "8", "--stages", "3"]])
-    def test_rmml_one_wide_groups_rejected_before_fitting(
-        self, workspace, capsys, monkeypatch, flags
-    ):
-        # 16 raw or 8 PCA dimensions split into 16 or 8 stage-0 groups of width 1
-        def unreachable(*args):
-            raise AssertionError("fitting started")
-
-        monkeypatch.setattr(cli.feat, "fit_pca", unreachable)
-        monkeypatch.setattr(cli.casc, "fit_cascade", unreachable)
-        code, _, err = run(
+    def test_rmml_fits_one_wide_groups(self, workspace, capsys, flags):
+        # 16 raw or 8 PCA dimensions split into 16 or 8 stage-0 groups of width 1;
+        # the zero contrast of a 1-wide group gives it M = I
+        code, out, _ = run(
             capsys, "fit", "--features", str(workspace / "f.csv"),
             "--pairs", str(workspace / "p.csv"), "--model", str(workspace / "x.ecml"),
-            "--cascade", *flags,
+            "--cascade", *flags, "--learner", "rmml",
         )
-        assert code == 2 and "1 wide" in err
-        assert not (workspace / "x.ecml").exists()
+        groups = 2 ** int(flags[-1])
+        assert code == 0 and f"stage 0: groups={groups} group_dim=1" in out
+        assert (workspace / "x.ecml").exists()
 
     def test_kissme_fits_one_wide_groups(self, workspace, capsys):
         code, out, _ = run(
@@ -548,13 +544,10 @@ class TestEval:
             b"ECML" + struct.pack("<II", 1, 4) + b"rmml"
             + struct.pack("<ddQIIII", 0.1, 1.0, 0, 16, 1, 2**32 - 1, 0)
         )
-        env = dict(os.environ)
-        src = str(Path(ecml.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "ecml.cli", "eval", "--model", str(path),
-             "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv")],
-            env=env, capture_output=True, text=True, timeout=20,
+        out = run_python(
+            "-m", "ecml.cli", "eval", "--model", str(path),
+            "--features", str(workspace / "f.csv"), "--pairs", str(workspace / "p.csv"),
+            timeout=20, check=False,
         )
         assert out.returncode == 2
         assert out.stderr.splitlines()[-1] == (
@@ -1023,14 +1016,8 @@ class TestGoldenModelBytes:
     another BLAS build may round differently.
     """
 
-    def fit_hashes(self, tmp_path, *synth, threads="1"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        src = str(Path(ecml.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _GOLDEN_FIT, str(tmp_path), *synth],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        ).stdout
+    def fit_hashes(self, tmp_path, *synth, threads=1):
+        out = run_python("-c", _GOLDEN_FIT, str(tmp_path), *synth, threads=threads).stdout
         return [line.split()[1] for line in out.splitlines() if line.startswith("sha256 ")]
 
     def test_classes_within_one_chunk_keep_earlier_bytes(self, tmp_path):
@@ -1064,7 +1051,7 @@ class TestGoldenModelBytes:
         # from the one-thread fit, but not between repeats.
         hashes = self.fit_hashes(
             tmp_path, "--ids", "20", "--samples-per-id", "20", "--dim", "128",
-            "--count", "6000", "--seed", "2", threads="2",
+            "--count", "6000", "--seed", "2", threads=2,
         )
         assert len(hashes) == 2 and hashes[0] == hashes[1]
 
@@ -1098,14 +1085,10 @@ class TestGoldenPcaModelBytes:
     def test_pca_then_plain_kissme(self, tmp_path):
         # 27 x 19 = 513 samples: PCA projects them in row blocks, the last of
         # which takes the 1-row remainder
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        src = str(Path(ecml.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _GOLDEN_PCA_FIT, str(tmp_path),
-             "--ids", "27", "--samples-per-id", "19", "--dim", "64",
-             "--count", "3000", "--seed", "0"],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
+        out = run_python(
+            "-c", _GOLDEN_PCA_FIT, str(tmp_path),
+            "--ids", "27", "--samples-per-id", "19", "--dim", "64",
+            "--count", "3000", "--seed", "0",
         ).stdout
         hashes = [line.split()[1] for line in out.splitlines() if line.startswith("sha256 ")]
         assert hashes == ["a166c6055b58ddaef0af752ba7d60b5134b153bbcd4b666b785cd5d550fca2f7"] * 2
@@ -1126,13 +1109,7 @@ class TestImportHygiene:
     """numpy.random and numpy.ma load on first use; a command needing neither loads neither."""
 
     def loaded(self, *argv):
-        env = dict(os.environ)
-        src = str(Path(ecml.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", _LOADED_SUBMODULES, *argv],
-            env=env, capture_output=True, text=True, timeout=60, check=True,
-        ).stdout
+        out = run_python("-c", _LOADED_SUBMODULES, *argv, timeout=60).stdout
         code, *modules = out.splitlines()[-1].split()[1:]
         assert code == "0"
         return modules

@@ -660,6 +660,16 @@ def test_non_numeric_real_argument_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("value", [10**400, -10**400], ids=["above", "below"])
+def test_integer_beyond_float_range_rejected(value):
+    # the bounds compare exactly, so only the float conversion can refuse it
+    for call in (lambda: ecml.make_learner("rmml", value),
+                 lambda: ecml.gen_synthetic(2, 5, 3, value, 1.0, seed=0),
+                 lambda: ecml.MetricModel(np.eye(2), "rmml", 0.5, value)):
+        with pytest.raises(ValidationError, match="must be finite and lie in"):
+            call()
+
+
 @pytest.mark.parametrize("seed", [1.5, 2.0])
 @pytest.mark.parametrize("entry", ["sample_pairs", "gen_synthetic"])
 def test_non_integer_seed_rejected(entry, seed):

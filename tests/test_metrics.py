@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ecml
 from ecml import metrics
 from ecml._linalg import SYMMETRY_TILE, is_symmetric, symmetrize
-from ecml.errors import DegenerateStats, SingularCovariance, ValidationError
+from ecml.errors import SingularCovariance, ValidationError
 
 from conftest import clustered_problem, make_stats
 
@@ -400,15 +400,34 @@ class TestFitRmml:
         assert np.abs(grad).max() <= 1e-6
 
     def test_degenerate_matched_pairs(self):
-        with pytest.raises(DegenerateStats, match="matched"):
-            ecml.fit_rmml(
-                ecml.DifferenceStats(np.zeros((2, 2)), np.eye(2), 1, 1), 0.5
-            )
+        # all matched differences are zero: 0/0 is taken as 0, so the contrast
+        # is the unmatched scatter S / tr alone, here I / 2 with rho 0.5
+        stats = ecml.DifferenceStats(np.zeros((2, 2)), np.eye(2), 1, 1)
+        model = ecml.fit_rmml(stats, 0.5)
+        scatter = stats.sum_neg / stats.tr_neg
+        rho = np.abs(np.linalg.eigvalsh(scatter)).mean()
+        assert model.rho == pytest.approx(rho, abs=1e-12)
+        assert np.allclose(model.matrix, np.eye(2) + 0.5 * scatter / rho, atol=1e-12)
+        # and likewise with the classes swapped, the matched scatter subtracted
+        swapped = ecml.fit_rmml(ecml.DifferenceStats(np.eye(2), np.zeros((2, 2)), 1, 1), 0.5)
+        assert np.allclose(swapped.matrix, np.eye(2) - 0.5 * scatter / rho, atol=1e-12)
 
-    def test_zero_contrast_rejected(self):
-        stats = ecml.DifferenceStats(np.eye(2), np.eye(2), 1, 1)
-        with pytest.raises(DegenerateStats, match="numerically zero"):
-            ecml.fit_rmml(stats, 0.5)
+    @pytest.mark.parametrize("sums", [(np.eye(2), np.eye(2)), (np.zeros((2, 2)),) * 2],
+                             ids=["equal-classes", "all-zero"])
+    def test_zero_contrast_gives_identity(self, sums):
+        # the objective's gradient at a zero contrast is M - I: its minimizer is I,
+        # and no normalizer is applied
+        stats = ecml.DifferenceStats(*sums, 1, 1)
+        model = ecml.fit_rmml(stats, 0.5)
+        assert np.array_equal(model.matrix, np.eye(2)) and model.rho is None
+        assert (model.learner, model.lam) == ("rmml", 0.5)
+        assert ecml.objective(stats, model.matrix, 0.5) == 0.0
+
+    def test_contrast_below_rho_floor_gives_identity(self):
+        tiny = np.diag([1e-13, 0.0])
+        stats = ecml.DifferenceStats(np.eye(2) - tiny, np.eye(2) + tiny, 1, 1)
+        model = ecml.fit_rmml(stats, 0.5)
+        assert np.array_equal(model.matrix, np.eye(2)) and model.rho is None
 
     def test_negative_lambda_rejected(self, rng):
         with pytest.raises(ValidationError):

@@ -6,10 +6,6 @@ either loads or fails with ``ValidationError``; no other exception escapes.
 
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +14,8 @@ from hypothesis import strategies as st
 import ecml
 from ecml import cli
 from ecml.errors import ValidationError
+
+from conftest import run_python
 
 # Writes every text output of one small synth/fit/eval run, with relative paths
 # so the multi-model report does not name the temporary directory.
@@ -55,13 +53,7 @@ class TestGoldenTextBytes:
     @pytest.fixture(scope="class")
     def outputs(self, tmp_path_factory):
         work = tmp_path_factory.mktemp("golden-text")
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        src = str(Path(ecml.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run(
-            [sys.executable, "-c", _GOLDEN_TEXT, str(work)],
-            env=env, capture_output=True, text=True, timeout=120, check=True,
-        )
+        run_python("-c", _GOLDEN_TEXT, str(work))
         return work
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN_HASHES))
