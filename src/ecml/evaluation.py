@@ -127,17 +127,15 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
     pairs reference are read, and ``map_rows`` maps each once, through
     ``pca``, then the stages; a ``FeatureMatrix`` scored by a model with
     neither is scored as it is. ``_score_chunks`` scores the pairs, as it
-    does for ``cascade_distance``, so the two agree bit for bit. Before
-    mapping the rows, the free heap (left by imports and by loading the
-    model) is handed back to the OS.
+    does for ``cascade_distance``, so the two agree bit for bit. The mapped
+    rows and one block's or chunk's temporaries set the peak, so the free
+    heap (of imports and model loading) goes back to the OS first.
     """
     _check_bins(bins)
     _check_rows(model, pca, features.dim)
     pairs.check_against(features)
     if model.stages or pca is not None or not isinstance(features, FeatureMatrix):
         rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
-        # the mapped rows and the stages' block temporaries set the eval's
-        # peak; they then grow RSS from a heap holding only live arrays
         _release_free_heap()
         x = map_rows(features, pca, model.stages, rows).data
         first, second = inverse[: len(pairs)], inverse[len(pairs) :]
@@ -173,19 +171,18 @@ def cascade_distance(model: CascadeModel, x, y):
 def _score_chunks(x, first, second, m):
     """Read-only d^T m d, d = x[first[k]] - x[second[k]], ``SCORE_CHUNK`` pairs at a time.
 
-    The one scoring kernel: each chunk's differences and ``(d @ m) * d``
-    land in buffers allocated here once, so the loop allocates no arrays.
-    The indices must already have been checked against ``x``.
+    The one scoring kernel: the scores, a chunk's differences and its
+    ``(d @ m) * d``, whose top rows first hold the subtracted ones, are its
+    only arrays. The indices must already have been checked against ``x``.
     """
     n, width = first.size, x.shape[1]
     scores = np.empty(n)
     d = np.empty((min(n, SCORE_CHUNK), width))
     prod = np.empty_like(d)
-    sub = np.empty((min(n, SUB_ROWS), width))
     for start in range(0, n, SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
         dk, pk = d[: scores[chunk].size], prod[: scores[chunk].size]
-        _differences(x, first[chunk], second[chunk], dk, sub)
+        _differences(x, first[chunk], second[chunk], dk, pk[:SUB_ROWS])
         np.matmul(dk, m, out=pk)
         pk *= dk
         pk.sum(axis=1, out=scores[chunk])

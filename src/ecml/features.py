@@ -41,7 +41,7 @@ FEATURE_FORMATS = ("csv", "raw-binary")
 
 # Rows per block of map_rows (one more with a folded 1-row remainder, see
 # row_blocks). It bounds the temporaries of mapping rows, never their bits.
-ROW_BLOCK = 256
+ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -562,7 +562,8 @@ def map_rows(source, pca=None, stages=(), rows=None) -> FeatureMatrix:
     are fitted cascade stages, each applied by its ``replay``. Each block
     of ``ROW_BLOCK`` rows is centered in the source's ``blocks`` or
     ``gather`` buffer and projected straight into the output when no stage
-    follows; ``row_blocks`` keeps a row's bits independent of its block.
+    follows; each stage adds its shuffled rows and group block.
+    ``row_blocks`` keeps a row's bits independent of its block.
     Only the result is checked. Mapped through nothing, a ``FeatureMatrix``
     is returned as it is and a ``FeatureFile`` is loaded whole.
     """

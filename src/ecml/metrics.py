@@ -25,7 +25,7 @@ DEFAULT_LAMBDA = 0.5
 # Pairs per difference block in accumulate_stats; fixed, because the
 # summation order it sets is part of the model bytes.
 STATS_CHUNK = 2048
-# Rows of the subtracted x[second] block that _differences gathers at a time
+# Rows of x[second] that _differences subtracts at a time
 SUB_ROWS = 64
 
 LEARNER_NAMES = ("rmml", "kissme", "genuine-baseline")
@@ -202,16 +202,19 @@ def _class_buffers(x, pairs, label):
     """Row indices and buffers for one class's sum: the arguments of _class_sum after x.
 
     Whatever the pair count, the buffers are one ``STATS_CHUNK`` x D gather
-    block, one ``SUB_ROWS`` x D block, the D x D total and, only when the
-    class spans several chunks, a D x D product block.
+    block, the D x D total, a D x D ``prod`` only when the class spans several
+    chunks, and ``sub``: the top rows of the block each product writes, or
+    its own block if D < ``SUB_ROWS``.
     """
     idx = np.flatnonzero(pairs.y == label)
-    first, second = pairs.i[idx], pairs.j[idx]
     width = x.shape[1]
     gather = np.empty((min(idx.size, STATS_CHUNK), width))
-    sub = np.empty((min(idx.size, SUB_ROWS), width))
+    total = np.empty((width, width))
     prod = np.empty((width, width)) if idx.size > STATS_CHUNK else None
-    return first, second, gather, sub, np.empty((width, width)), prod
+    sub = (total if prod is None else prod)[:SUB_ROWS]
+    if width < SUB_ROWS:
+        sub = np.empty((SUB_ROWS, width))
+    return pairs.i[idx], pairs.j[idx], gather, sub, total, prod
 
 
 def _class_sum(x, first, second, gather, sub, total, prod):
@@ -237,10 +240,9 @@ def _class_sum(x, first, second, gather, sub, total, prod):
 def _differences(x, first, second, d, sub):
     """Fill ``d`` with x[first] - x[second], allocating no arrays.
 
-    The x[second] rows are gathered into ``sub`` and subtracted
-    ``len(sub)`` at a time, keeping their block small. The gathers clip
-    out-of-range indices, so the indices must already have been checked
-    against ``x``.
+    The x[second] rows are gathered into ``sub`` and subtracted ``len(sub)``
+    at a time. The gathers clip out-of-range indices, so the indices must
+    already have been checked against ``x``.
     """
     x.take(first, axis=0, out=d, mode="clip")
     step = sub.shape[0]

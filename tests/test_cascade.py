@@ -551,7 +551,9 @@ class TestTransformAndDistance:
         assert (want == 0.0).any()
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1])
+    @pytest.mark.parametrize("n", [
+        1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 4 * ROW_BLOCK + 1,
+    ])
     def test_block_replay_equals_training_stage_output_bitwise(self, rng, monkeypatch, n):
         # transform replays ROW_BLOCK rows at a time, fit_cascade maps the
         # whole matrix at once; the bits must agree, a 1-row block included

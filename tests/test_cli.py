@@ -11,6 +11,7 @@ import pytest
 
 import ecml
 from ecml import cli
+from ecml.features import ROW_BLOCK
 
 from conftest import run_python
 from test_evaluation import reference_scores
@@ -570,11 +571,11 @@ def streamed(tmp_path_factory):
     ecml.save_features(feats, work / "f.csv")
     assert cli.main(["pairs", "--labels", str(l), "--count", "400", "--seed", "8",
                      "--pairs", str(work / "p.csv")]) == 0
-    # 257 referenced rows, one past a block of ROW_BLOCK
+    # ROW_BLOCK + 1 referenced rows, one past a block
     labels = ecml.load_labels(l)
-    rows = np.arange(257) + 50
+    rows = np.arange(ROW_BLOCK + 1) + 50
     ecml.save_pairs(ecml.PairSet(rows, np.roll(rows, -1), labels[rows] == labels[np.roll(rows, -1)]),
-                    work / "p257.csv")
+                    work / "p-past-block.csv")
     for name, flags in {
         "plain": [],
         "kissme-pca": ["--learner", "kissme", "--pca-dim", "8"],
@@ -609,7 +610,7 @@ class TestRawBinaryEval:
         ("plain", "p.csv"),
         ("kissme-pca", "p.csv"),
         ("cascade-pca", "p.csv"),
-        ("cascade-pca", "p257.csv"),
+        ("cascade-pca", "p-past-block.csv"),
     ], ids=["stage-free", "pca-kissme", "pca-cascade", "rows-one-past-block"])
     def test_report_bytes_match_csv_and_whole_matrix(self, streamed, capsys, model, pairs):
         tag = f"{model}-{pairs}"
@@ -625,8 +626,8 @@ class TestRawBinaryEval:
                 assert (streamed / f"{tag}-{fmt}.txt{suffix}").read_bytes() == want
 
     def test_rows_one_past_block(self, streamed):
-        pairs = ecml.load_pairs(streamed / "p257.csv")
-        assert np.unique(np.concatenate([pairs.i, pairs.j])).size == 257
+        pairs = ecml.load_pairs(streamed / "p-past-block.csv")
+        assert np.unique(np.concatenate([pairs.i, pairs.j])).size == ROW_BLOCK + 1
 
     def test_three_models(self, streamed, capsys):
         models = ("plain", "kissme-pca", "cascade-pca")

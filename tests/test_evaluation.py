@@ -293,7 +293,7 @@ class TestEvaluate:
         mapped = used * dim * 8 if stages else 0
         # a mapped block's input, the previous stage's output, its shuffled
         # successor and the group block; or a chunk's differences and product
-        chunk_buffers = 4 * SCORE_CHUNK * dim * 8
+        chunk_buffers = max(4 * (ROW_BLOCK + 1), 2 * SCORE_CHUNK) * dim * 8
         base = peak(1)
         assert base <= mapped + chunk_buffers + 2**20
         # ten times the pairs over the same rows add only per-pair arrays:
@@ -332,13 +332,71 @@ class TestEvaluate:
 
         used = np.unique(np.concatenate([i, j])).size
         # the read buffer, the gathered block, the projected block and the
-        # stage temporaries of one mapped block, each at most 257 rows
+        # stage temporaries of one mapped block, each at most ROW_BLOCK + 1 rows
         blocks = 5 * (ROW_BLOCK + 1) * dim * 8
         base = peak(rows)
         assert base <= used * k * 8 + blocks + 2**20
         # four times as many rows that no pair references (3 MB more file)
         # are read, not kept: the peak moves by a few Python objects at most
         assert abs(peak(5 * rows) - base) <= 2**12
+
+    def test_score_chunks_allocates_only_differences_product_and_scores(self, rng):
+        # the subtracted rows pass through the product buffer; a block of
+        # their own would add SUB_ROWS * width * 8 = 32 kB
+        width, n = 64, 2 * SCORE_CHUNK + 3
+        x = rng.normal(size=(50, width))
+        first = rng.integers(0, 50, size=n)
+        second = (first + rng.integers(1, 50, size=n)) % 50
+        m = np.eye(width)
+        tracemalloc.start()
+        try:
+            ecml.evaluation._score_chunks(x, first, second, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (n + 2 * SCORE_CHUNK * width) + 2**12
+
+
+@pytest.fixture(scope="module")
+def pca_cascade_sources(tmp_path_factory):
+    """A PCA front end and a 2-stage cascade fitted behind it, with the 769 raw
+    and projected rows each as a ``FeatureMatrix`` and as a raw-binary ``FeatureFile``.
+
+    769 rows leave a 1-row remainder in blocks of 2, 3, 128 and 256 rows.
+    """
+    feats, labels, _ = clustered_problem(seed=12, ids=65, spp=12, dim=24)
+    feats, labels = ecml.FeatureMatrix(feats.data[:769]), labels[:769]
+    pca = ecml.fit_pca(feats, 16)
+    reduced = ecml.apply_pca(pca, feats)
+    pairs = ecml.sample_pairs(labels, 600, 0.5, seed=12)
+    model = ecml.fit_cascade(reduced, pairs, 2, ecml.make_learner("rmml", 0.1), seed=4)
+    work = tmp_path_factory.mktemp("row-block")
+    for name, matrix in (("raw", feats), ("reduced", reduced)):
+        ecml.save_features(matrix, work / f"{name}.bin", "raw-binary")
+    sources = {
+        "matrix": (feats, reduced),
+        "file": (ecml.FeatureFile(work / "raw.bin"), ecml.FeatureFile(work / "reduced.bin")),
+    }
+    return pca, model, sources, chain_pairs(labels, np.arange(769))
+
+
+@pytest.mark.parametrize("source", ["matrix", "file"])
+def test_row_block_never_changes_bits(pca_cascade_sources, monkeypatch, source):
+    pca, model, sources, pairs = pca_cascade_sources
+    raw, reduced = sources[source]
+    seen = []
+    build = ecml.evaluation.build_report
+    monkeypatch.setattr(ecml.evaluation, "build_report",
+                        lambda scored, bins: seen.append(scored) or build(scored, bins=bins))
+    outputs = {}
+    for size in (2, 3, 128, 256):
+        assert raw.count % size == 1
+        monkeypatch.setattr(ecml.features, "ROW_BLOCK", size)
+        report = ecml.evaluate(model, raw, pairs, pca=pca)
+        outputs[size] = (seen.pop().scores.tobytes(), report.roc.tobytes(),
+                         ecml.apply_pca(pca, raw).data.tobytes(),
+                         ecml.transform(model, reduced).data.tobytes())
+    assert all(out == outputs[ROW_BLOCK] for out in outputs.values())
 
 
 class TestComputeEer:

@@ -404,9 +404,10 @@ class TestPca:
         assert 8 * d * d <= live[0] < 8 * (d * d + d) + 4096
         assert live[1] < 8 * (d + d * k) + 4096
 
-    @pytest.mark.parametrize(
-        "n", [1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2]
-    )
+    @pytest.mark.parametrize("n", [
+        1, 2, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 4 * ROW_BLOCK + 1,
+        4 * ROW_BLOCK + 2,
+    ])
     def test_apply_to_file_equals_apply_to_matrix_bitwise(self, tmp_path, rng, n):
         feats = ecml.FeatureMatrix(rng.normal(size=(n, 96)))
         path = tmp_path / "f.bin"
@@ -441,7 +442,7 @@ class TestPca:
         # plus the fixed buffer numpy's subtract uses to broadcast the mean
         assert peak <= 8 * (n * k + (ROW_BLOCK + 1) * d + np.getbufsize()) + 4096
 
-    @pytest.mark.parametrize("n", [1, 2, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2 * ROW_BLOCK + 2])
+    @pytest.mark.parametrize("n", [1, 2, 4 * ROW_BLOCK, 4 * ROW_BLOCK + 1, 4 * ROW_BLOCK + 2])
     def test_blocked_projection_equals_one_product_bitwise(self, rng, n):
         # a 1-row remainder alone would be a matrix-vector product, which
         # rounds differently; it is projected with the block before it

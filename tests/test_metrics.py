@@ -175,6 +175,25 @@ class TestAccumulateStats:
             tracemalloc.stop()
         assert peak < 64 * 256 * 8 // 4  # a quarter of one 64-row difference block
 
+    @pytest.mark.parametrize("count, width", [
+        (1, 96), (metrics.STATS_CHUNK, 96), (metrics.STATS_CHUNK + 1, 96),
+        (1, 8), (metrics.STATS_CHUNK + 1, 8),
+    ])
+    def test_subtracted_rows_share_the_product_block(self, count, width):
+        # sub lives in the block that each chunk's product overwrites next: prod,
+        # or total when one chunk holds the class; never in the running total.
+        # Below SUB_ROWS columns that block has too few rows, and sub is its own
+        rng = np.random.default_rng(count)
+        x = rng.normal(size=(60, width))
+        pairs = random_pairs(rng, 60, np.arange(2 * count) % 2)
+        _, _, gather, sub, total, prod = metrics._class_buffers(x, pairs, 1)
+        assert (prod is None) == (count <= metrics.STATS_CHUNK)
+        assert sub.shape == (metrics.SUB_ROWS, width)
+        shared = np.shares_memory(sub, total if prod is None else prod)
+        assert shared == (width >= metrics.SUB_ROWS)
+        assert prod is None or not np.shares_memory(sub, total)
+        assert not np.shares_memory(sub, gather)
+
     def test_free_heap_released_once_worker_joined(self, monkeypatch):
         # which freed heap blocks stay resident depends on how the two threads
         # interleaved; handing them back keeps the fit's peak RSS repeatable
