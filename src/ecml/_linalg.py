@@ -60,10 +60,9 @@ def symmetrize(m):
     """``0.5 * (m + m.T)``; ``m`` itself, uncopied, when it is already symmetric.
 
     For a bitwise-symmetric ``m`` the formula gives back ``m``'s own bits
-    wherever it does not overflow, so skipping it changes no result. Where it
-    does overflow, the entry becomes inf without a warning, so callers check
-    finiteness after symmetrizing. A matrix built here is read-only, so that
-    ``freeze_array`` keeps it uncopied.
+    wherever it does not overflow, so skipping it changes no result; where it
+    does, the entry becomes inf without a warning. A matrix built here is
+    read-only, so that ``freeze_array`` keeps it uncopied.
     """
     if is_symmetric(m):
         return m
@@ -123,11 +122,49 @@ def _check_real(value, what, least, most):
         raise ValidationError(f"{what} must be finite and lie in [{least}, {most}], got {value!r}")
 
 
+def _numeric_array(value, what, kinds, ndim):
+    """``value`` as an array of ``ndim`` dimensions (None: any) and a dtype kind in ``kinds``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # numpy's refusal of a ragged sequence
+        raise ValidationError(f"{what} must be a rectangular array: {exc}") from None
+    if arr.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must have a real dtype, got {arr.dtype}")
+    if ndim not in (None, arr.ndim):
+        raise ValidationError(f"{what} must be {ndim}-D, got shape {arr.shape}")
+    return arr
+
+
+def _first_nonfinite(arr):
+    """Index of the first non-finite entry of ``arr``, or None: ``min`` and ``max`` are finite
+    exactly when every entry is, and neither builds an ``arr``-sized array; only a failure does."""
+    if not arr.size or np.isfinite(arr.min()) and np.isfinite(arr.max()):
+        return None
+    return tuple(map(int, np.argwhere(~np.isfinite(arr))[0]))
+
+
+def _real_array(value, what, ndim=None, square=False, symmetric=False, nonfinite=None):
+    """``value`` as a read-only C-contiguous float64 array, uncopied if it is one already: an
+    integer or float dtype, ``ndim`` dimensions (None: any) or a ``square`` matrix, and finite
+    entries, checked after symmetrizing a ``symmetric`` matrix (which can overflow). A non-finite
+    entry raises ``nonfinite`` formatted with its index, or "<what> has non-finite entries"."""
+    arr = _numeric_array(value, what, "iuf", ndim).astype(np.float64, copy=False)
+    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
+        raise ValidationError(f"{what} must be square, got shape {arr.shape}")
+    if symmetric:
+        arr = symmetrize(arr)
+    bad = _first_nonfinite(arr)
+    if bad is not None:
+        raise ValidationError((nonfinite or f"{what} has non-finite entries").format(*bad))
+    return freeze_array(arr)
+
+
 def _int64_exact(values, what):
-    """``values`` as int64, refused where that changes a value (2.7 would truncate to 2)."""
-    arr = np.asarray(values)
+    """``values`` as a read-only C-contiguous 1-D int64 array, bool as 0/1, refused where the
+    cast changes a value (2.7 would truncate to 2)."""
+    arr = _numeric_array(values, what, "biuf", 1)
     with np.errstate(invalid="ignore"):  # NaN and out-of-range values are refused below
         out = arr.astype(np.int64, copy=False)
     if not np.can_cast(arr.dtype, np.int64) and (out != arr).any():
         raise ValidationError(f"{what} must be integer-valued, got {arr[out != arr][0].item()!r}")
-    return out
+    return freeze_array(out)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (_check_integer, _int64_exact, _release_free_heap, fix_column_signs,
-                      freeze_array, symmetrize)
+from ._linalg import _check_integer, _int64_exact, _real_array, _release_free_heap, fix_column_signs
 from .errors import NumericalError, ValidationError
 from .features import (FeatureMatrix, PairSet, PcaModel, _BinaryReader, _check_pca_input,
                        _write_bytes, map_rows)
@@ -50,13 +49,8 @@ class Projection:
     clamped_count: int
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise ValidationError(f"projection must be square, got shape {p.shape}")
-        if not np.isfinite(p).all():
-            raise ValidationError("projection has non-finite entries")
+        object.__setattr__(self, "p", _real_array(self.p, "projection", square=True))
         _check_integer(self.clamped_count, "clamped_count", 0)
-        object.__setattr__(self, "p", freeze_array(p))
         object.__setattr__(self, "clamped_count", int(self.clamped_count))
 
     @property
@@ -87,11 +81,11 @@ class StageModel:
                 raise ValidationError(f"group {g} projection has dim {proj.dim}, expected {gdim}")
         perm = _int64_exact(self.permutation, "permutation")
         width = len(projections) * gdim
-        if perm.ndim != 1 or perm.size != width:
+        if perm.size != width:
             raise ValidationError(f"permutation must have length {width}, got {perm.size}")
         if not np.array_equal(np.sort(perm), np.arange(width)):
             raise ValidationError("permutation is not a bijection of the padded dimensions")
-        object.__setattr__(self, "permutation", freeze_array(perm))
+        object.__setattr__(self, "permutation", perm)
         object.__setattr__(self, "projections", projections)
 
     @property
@@ -168,13 +162,7 @@ def mcd(matrix) -> Projection:
     and eigenvector signs pinned, fixing the basis freedom. Eigenvalues in
     (-CLAMP_TOL, 0) are treated as zero without counting as clamped.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"matrix must be square, got shape {m.shape}")
-    # checked after symmetrizing, which can overflow finite entries
-    m = symmetrize(m)
-    if not np.isfinite(m).all():
-        raise ValidationError("matrix has non-finite entries")
+    m = _real_array(matrix, "matrix", square=True, symmetric=True)
     try:
         evals, evecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -401,10 +389,9 @@ def save_model(model: CascadeModel, path, pca: PcaModel | None = None) -> None:
 def load_model(path):
     """Load a model file; returns (CascadeModel, PcaModel or None). Every fault names the file.
 
-    Each array is read from the open file into its own aligned buffer, and
-    the file is closed on every path. Beyond the model's arrays the call
-    holds the largest check temporary: one bool per final-metric entry, or
-    the k x k gram of the PCA orthonormality check.
+    Each array is read from the open file into its own aligned buffer, and the file
+    is closed on every path. Beyond the model's arrays the call holds the largest
+    check temporary: the k x k gram of the PCA orthonormality check.
     """
     try:
         with open(path, "rb") as fh:

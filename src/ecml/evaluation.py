@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import _check_integer, _check_real, _int64_exact, _release_free_heap, freeze_array
+from ._linalg import _check_integer, _check_real, _int64_exact, _real_array, _release_free_heap
 from .cascade import CascadeModel, _check_rows, transform
 from .errors import ValidationError
 from .features import (
@@ -46,20 +46,16 @@ class ScoredPairs:
     labels: np.ndarray
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
+        scores = _real_array(self.scores, "score vector", 1)
         labels = _int64_exact(self.labels, "labels")
-        if scores.ndim != 1 or labels.ndim != 1 or scores.size != labels.size:
-            raise ValidationError("scores and labels must be 1-D arrays of equal length")
-        if scores.size == 0:
-            raise ValidationError("scored pair set is empty")
-        if not np.isfinite(scores).all():
-            raise ValidationError("scores contain non-finite values")
+        if scores.size != labels.size:
+            raise ValidationError("scores and labels must be of equal length")
         if not np.isin(labels, (0, 1)).all():
             raise ValidationError("labels must be 0 or 1")
         if not (labels == 1).any() or not (labels == 0).any():
             raise ValidationError("need at least one matched and one unmatched score")
-        object.__setattr__(self, "scores", freeze_array(scores))
-        object.__setattr__(self, "labels", freeze_array(labels))
+        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return self.scores.size
@@ -90,14 +86,16 @@ class EvalReport:
     degenerate: bool = False
 
     def __post_init__(self):
-        roc = np.asarray(self.roc, dtype=np.float64).reshape(-1, 3)
+        roc = _real_array(self.roc, "roc")
+        if roc.size % 3:
+            raise ValidationError(f"roc must hold rows of 3 values, got shape {roc.shape}")
         _check_real(self.eer, "eer", 0, 1)
         _check_real(self.threshold, "threshold", -math.inf, math.inf)
         _check_real(self.kl_pos_neg, "kl", 0, math.inf)
         object.__setattr__(self, "eer", float(self.eer))
         object.__setattr__(self, "threshold", float(self.threshold))
         object.__setattr__(self, "kl_pos_neg", float(self.kl_pos_neg))
-        object.__setattr__(self, "roc", freeze_array(roc))
+        object.__setattr__(self, "roc", roc.reshape(-1, 3))
         object.__setattr__(self, "degenerate", bool(self.degenerate))
 
 
@@ -114,7 +112,7 @@ def score_pairs(distance_fn, features: FeatureMatrix, pairs: PairSet) -> ScoredP
     for start in range(0, len(pairs), SCORE_CHUNK):
         chunk = slice(start, start + SCORE_CHUNK)
         scores[chunk] = distance_fn(x[pairs.i[chunk]], x[pairs.j[chunk]])
-    return ScoredPairs(scores=scores, labels=np.asarray(pairs.y))
+    return ScoredPairs(scores=scores, labels=pairs.y)
 
 
 def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: PairSet,
@@ -136,6 +134,7 @@ def evaluate(model: CascadeModel, features: FeatureMatrix | FeatureFile, pairs: 
     pairs.check_against(features)
     if model.stages or pca is not None or not isinstance(features, FeatureMatrix):
         rows, inverse = np.unique(np.concatenate((pairs.i, pairs.j)), return_inverse=True)
+        rows.setflags(write=False)  # so that gather's check keeps it uncopied
         _release_free_heap()
         x = map_rows(features, pca, model.stages, rows).data
         first, second = inverse[: len(pairs)], inverse[len(pairs) :]
@@ -154,9 +153,9 @@ def cascade_distance(model: CascadeModel, x, y):
     are scored by ``_score_chunks``, as in ``evaluate``, so the scores equal
     ``evaluate``'s bit for bit at any block size.
     """
-    single = np.ndim(x) == 1 and np.ndim(y) == 1
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x, y = _real_array(x, "x"), _real_array(y, "y")
+    single = x.ndim == 1 and y.ndim == 1
+    x, y = np.atleast_2d(x), np.atleast_2d(y)
     if x.ndim != 2 or x.shape != y.shape:
         raise ValidationError(f"inputs must be two vectors or two equal-shape (n, D) row "
                               f"blocks, got shapes {x.shape} and {y.shape}")

@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (_check_integer, _check_real, _int64_exact, _release_free_heap,
-                      fix_column_signs, freeze_array, row_blocks)
+from ._linalg import (_check_integer, _check_real, _first_nonfinite, _int64_exact, _real_array,
+                      _release_free_heap, fix_column_signs, row_blocks)
 from .errors import NumericalError, ValidationError
 
 FEATURE_MAGIC = b"CMF1"
@@ -46,21 +46,17 @@ ROW_BLOCK = 128
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Immutable N x D matrix of per-sample feature rows (float64)."""
+    """Immutable N x D (N, D >= 1) feature rows, float64; ``_linalg._real_array`` checks them."""
 
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
+        arr = _real_array(self.data, "feature matrix", 2,
+                          nonfinite="non-finite feature value at row {}, column {}")
         n, d = arr.shape
         if n < 1 or d < 1:
             raise ValidationError(f"feature matrix needs N >= 1 and D >= 1, got N={n}, D={d}")
-        bad = _first_nonfinite(arr)
-        if bad is not None:
-            raise ValidationError(f"non-finite feature value at row {bad[0]}, column {bad[1]}")
-        object.__setattr__(self, "data", freeze_array(arr))
+        object.__setattr__(self, "data", arr)
 
     @property
     def count(self) -> int:
@@ -96,11 +92,11 @@ class PairSet:
     y: np.ndarray
 
     def __post_init__(self):
-        i = _int64_exact(self.i, "pair indices")
-        j = _int64_exact(self.j, "pair indices")
-        y = _int64_exact(self.y, "pair labels")
-        if not (i.ndim == j.ndim == y.ndim == 1 and i.size == j.size == y.size):
-            raise ValidationError("pair arrays must be 1-D and of equal length")
+        for name, what in (("i", "pair indices"), ("j", "pair indices"), ("y", "pair labels")):
+            object.__setattr__(self, name, _int64_exact(getattr(self, name), what))
+        i, j, y = self.i, self.j, self.y
+        if not i.size == j.size == y.size:
+            raise ValidationError("pair arrays must be of equal length")
         if i.size == 0:
             raise ValidationError("pair set is empty")
         if (i < 0).any() or (j < 0).any():
@@ -114,9 +110,6 @@ class PairSet:
             raise ValidationError(
                 "pair set needs at least one matched (y=1) and one unmatched (y=0) pair"
             )
-        object.__setattr__(self, "i", freeze_array(i))
-        object.__setattr__(self, "j", freeze_array(j))
-        object.__setattr__(self, "y", freeze_array(y))
 
     def __len__(self) -> int:
         return self.i.size
@@ -139,18 +132,17 @@ class PairSet:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Centering vector plus orthonormal top-k principal directions (D x k)."""
+    """Centering vector plus orthonormal top-k principal directions (D x k), both checked by
+    ``_linalg._real_array``."""
 
     mean: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        basis = np.asarray(self.basis, dtype=np.float64)
-        if mean.ndim != 1 or basis.ndim != 2 or basis.shape[0] != mean.size:
+        mean = _real_array(self.mean, "PCA mean", 1)
+        basis = _real_array(self.basis, "PCA basis", 2)
+        if basis.shape[0] != mean.size:
             raise ValidationError("PCA mean must be a D-vector and basis a D x k matrix")
-        if not (np.isfinite(mean).all() and np.isfinite(basis).all()):
-            raise ValidationError("PCA model has non-finite entries")
         k = basis.shape[1]
         if not 1 <= k <= basis.shape[0]:
             raise ValidationError(f"PCA basis needs 1 <= k <= D, got k={k}, D={basis.shape[0]}")
@@ -158,8 +150,8 @@ class PcaModel:
         gram.flat[:: k + 1] -= 1.0  # gram - I, in place
         if np.abs(gram, out=gram).max() > 1e-8:
             raise ValidationError("PCA basis columns are not orthonormal within 1e-8")
-        object.__setattr__(self, "mean", freeze_array(mean))
-        object.__setattr__(self, "basis", freeze_array(basis))
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def input_dim(self) -> int:
@@ -265,18 +257,6 @@ def _parse_table(path, rows, cast, width=None):
     if bad is not None:
         fail(*bad, f"non-finite value {float(arr[bad])!r}")
     return arr
-
-
-def _first_nonfinite(arr):
-    """(row, column) of the first non-finite entry of the 2-D ``arr``, or None.
-
-    Every entry is finite exactly when the minimum and the maximum are (both
-    propagate NaN), and neither reduction builds an array the size of ``arr``;
-    only a failure does, to find the cell.
-    """
-    if np.isfinite(arr.min()) and np.isfinite(arr.max()):
-        return None
-    return tuple(map(int, np.argwhere(~np.isfinite(arr))[0]))
 
 
 def _load_csv(path) -> FeatureMatrix:
@@ -444,17 +424,22 @@ class FeatureFile:
 def _pick(source, chunks, rows, size):
     """The ``gather`` of either source: its rows ``rows``, taken from its ``chunks``.
 
-    ``rows`` must be ascending, unique and below ``source.count``.
-    ``chunks`` yields ``(first, past, rows first..past-1)`` of the source
-    in order, and is read to its end.
+    ``rows`` must be ascending, unique and below ``source.count``, and are
+    checked at the call. ``chunks`` yields ``(first, past, rows first..past-1)``
+    of the source in order, and is read to its end.
     """
-    rows = np.asarray(rows)
-    if rows.ndim != 1 or (rows[1:] <= rows[:-1]).any():
+    rows = _int64_exact(rows, "rows")
+    if (rows[1:] <= rows[:-1]).any():
         raise ValidationError("rows must be a 1-D array of ascending, unique row indices")
     if rows.size and not 0 <= rows[0] <= rows[-1] < source.count:
         raise ValidationError(f"rows {rows[0]}..{rows[-1]} out of range for {source.count} rows")
+    return _take(source.dim, chunks, rows, size)
+
+
+def _take(dim, chunks, rows, size):
+    """The blocks of ``_pick``: its checked ``rows``, copied out of ``chunks``."""
     bounds = row_blocks(rows.size, size)
-    block = np.empty((min(rows.size, size + 1), source.dim))
+    block = np.empty((min(rows.size, size + 1), dim))
     k, b = 0, 0  # next entry of rows to copy, and the block it belongs to
     for first, past, chunk in chunks:
         end = int(np.searchsorted(rows, past))  # rows[k:end] are in this chunk

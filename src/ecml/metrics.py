@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (_check_integer, _check_real, _release_free_heap, freeze_array, is_symmetric,
+from ._linalg import (_check_integer, _check_real, _real_array, _release_free_heap, is_symmetric,
                       symmetrize)
 from .errors import SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
@@ -66,22 +66,20 @@ class DifferenceStats:
         return stats
 
     def _check(self, psd):
-        sp = np.asarray(self.sum_pos, dtype=np.float64)
-        sn = np.asarray(self.sum_neg, dtype=np.float64)
-        if sp.ndim != 2 or sp.shape[0] != sp.shape[1] or sp.shape != sn.shape:
-            raise ValidationError("sum matrices must be square and of equal shape")
+        sp = _real_array(self.sum_pos, "matched sum matrix", square=True)
+        sn = _real_array(self.sum_neg, "unmatched sum matrix", square=True)
+        if sp.shape != sn.shape:
+            raise ValidationError("sum matrices must be of equal shape")
         _check_integer(self.n_pos, "n_pos", 1)
         _check_integer(self.n_neg, "n_neg", 1)
         for name, mat in (("matched", sp), ("unmatched", sn)):
-            if not np.isfinite(mat).all():
-                raise ValidationError(f"{name} sum matrix has non-finite entries")
             scale = max(1.0, float(mat.max()), -float(mat.min()))  # max |entry|
             if not is_symmetric(mat) and np.abs(mat - mat.T).max() > 1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not symmetric within 1e-8")
             if psd and np.linalg.eigvalsh(symmetrize(mat)).min() < -1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
-        object.__setattr__(self, "sum_pos", freeze_array(sp))
-        object.__setattr__(self, "sum_neg", freeze_array(sn))
+        object.__setattr__(self, "sum_pos", sp)
+        object.__setattr__(self, "sum_neg", sn)
         object.__setattr__(self, "n_pos", int(self.n_pos))
         object.__setattr__(self, "n_neg", int(self.n_neg))
 
@@ -112,13 +110,7 @@ class MetricModel:
     rho: float | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"metric matrix must be square, got shape {m.shape}")
-        # checked after symmetrizing, which can overflow finite entries
-        m = symmetrize(m)
-        if not np.isfinite(m).all():
-            raise ValidationError("metric matrix has non-finite entries")
+        m = _real_array(self.matrix, "metric matrix", square=True, symmetric=True)
         if not (isinstance(self.learner, str) and self.learner):
             raise ValidationError(f"learner tag must be a nonempty string, got {self.learner!r}")
         for name, what in (("lam", "lambda"), ("rho", "rho")):
@@ -126,7 +118,7 @@ class MetricModel:
             if value is not None:
                 _check_real(value, what, 0, math.inf)
                 object.__setattr__(self, name, float(value))
-        object.__setattr__(self, "matrix", freeze_array(m))
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dim(self) -> int:
@@ -329,7 +321,7 @@ def objective(stats: DifferenceStats, matrix, lam: float) -> float:
     stationary point.
     """
     _check_real(lam, "lambda", 0, math.inf)
-    m = np.asarray(matrix, dtype=np.float64)
+    m = _real_array(matrix, "matrix", 2)
     if m.shape != stats.sum_pos.shape:
         raise ValidationError(f"matrix shape {m.shape} does not match stats dim {stats.dim}")
     g1 = -np.einsum("ij,ji->", _contrast(stats), m)

@@ -642,6 +642,20 @@ class TestReport:
         with pytest.raises(ValidationError, match="line 2: non-finite value nan at row 1, column 0"):
             ecml.load_report(path, roc_path=roc_path)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, None], ids=["nan", "inf", "empty"])
+    def test_report_reads_back_what_it_writes(self, tmp_path, cell):
+        # a non-finite ROC entry is refused when the report is built, so that every
+        # report save_report can write is one load_report reads back
+        roc = np.empty((0, 3)) if cell is None else [[2.0, 0.5, 0.0], [1.0, cell, 0.5]]
+        if cell is not None:
+            with pytest.raises(ValidationError, match="roc has non-finite entries"):
+                ecml.EvalReport(eer=0.25, threshold=1.5, kl_pos_neg=2.0, roc=roc)
+            return
+        report = ecml.EvalReport(eer=0.25, threshold=1.5, kl_pos_neg=2.0, roc=roc)
+        path, roc_path = tmp_path / "rep.txt", tmp_path / "rep.roc.csv"
+        ecml.save_report(report, path, roc_path=roc_path)
+        assert np.array_equal(ecml.load_report(path, roc_path=roc_path).roc, report.roc)
+
     def test_header_only_roc_loads_empty(self, tmp_path):
         report = ecml.EvalReport(eer=0.25, threshold=1.5, kl_pos_neg=2.0)
         path, roc_path = tmp_path / "rep.txt", tmp_path / "rep.roc.csv"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import ecml
 from ecml.cascade import _shuffle
@@ -255,6 +256,25 @@ def test_gather_checks_rows(tmp_path, kind, rows, error):
     else:
         with pytest.raises(ValidationError, match=error):
             list(source.gather(rows, 4))
+
+
+@pytest.mark.parametrize("kind", ["matrix", "file"])
+@pytest.mark.parametrize("rows, error", [
+    ([[0]], "rows must be 1-D"),
+    ([0.5], "rows must be integer-valued, got 0.5"),
+    (["0"], "rows must have a real dtype"),
+    ([5], r"rows 5\.\.5 out of range for 3 rows"),
+    ([1, 1], "ascending, unique"),
+], ids=["2-D", "fraction", "string", "out-of-range", "duplicate"])
+def test_gather_checks_rows_when_called(tmp_path, kind, rows, error):
+    # before the generator is returned, so before any row is read
+    m = ecml.FeatureMatrix(np.arange(6.0).reshape(3, 2))
+    source = m
+    if kind == "file":
+        ecml.save_features(m, tmp_path / "f.bin", "raw-binary")
+        source = ecml.FeatureFile(tmp_path / "f.bin")
+    with pytest.raises(ValidationError, match=error):
+        source.gather(rows, 4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -661,6 +681,75 @@ def test_non_numeric_real_argument_rejected(call):
         call()
 
 
+_NO_STAGES = ecml.CascadeModel((), ecml.MetricModel(np.eye(2), "rmml"), 2, 0)
+
+# (name, a well-formed value, a call that takes it): every array argument of the public
+# constructors and functions; "int" ones hold integers, the others reals
+_ARRAY_ARGUMENTS = [
+    ("feature-matrix", np.ones((2, 2)), lambda v: ecml.FeatureMatrix(v)),
+    ("pca-mean", np.zeros(2), lambda v: ecml.PcaModel(v, np.eye(2)[:, :1])),
+    ("pca-basis", np.eye(2)[:, :1], lambda v: ecml.PcaModel(np.zeros(2), v)),
+    ("projection", np.eye(2), lambda v: ecml.Projection(v, 0)),
+    ("mcd", np.eye(2), lambda v: ecml.mcd(v)),
+    ("stats-sum", np.eye(2), lambda v: ecml.DifferenceStats(v, np.eye(2), 1, 1)),
+    ("metric-matrix", np.eye(2), lambda v: ecml.MetricModel(v, "rmml")),
+    ("objective-matrix", np.eye(2),
+     lambda v: ecml.objective(make_stats(np.random.default_rng(0), 2), v, 0.5)),
+    ("scores", np.asarray([0.5, 1.5]), lambda v: ecml.ScoredPairs(v, [1, 0])),
+    ("report-roc", np.asarray([[1.0, 0.0, 0.5]]), lambda v: ecml.EvalReport(0.1, 1.0, 0.5, v)),
+    ("cascade-distance", np.ones(2), lambda v: ecml.cascade_distance(_NO_STAGES, v, np.ones(2))),
+    ("int-pair-indices", np.asarray([0, 2]), lambda v: ecml.PairSet(v, [1, 3], [1, 0])),
+    ("int-pair-labels", np.asarray([1, 0]), lambda v: ecml.PairSet([0, 2], [1, 3], v)),
+    ("int-permutation", np.asarray([1, 0]),
+     lambda v: ecml.StageModel(v, (ecml.Projection(np.eye(1), 0),) * 2)),
+    ("int-score-labels", np.asarray([1, 0]), lambda v: ecml.ScoredPairs([0.5, 1.5], v)),
+    ("int-save-labels", np.asarray([1, 0]), lambda v: ecml.save_labels(v, os.devnull)),
+    ("int-gather-rows", np.asarray([0, 1]),
+     lambda v: ecml.FeatureMatrix(np.ones((2, 2))).gather(v, 4)),
+]
+
+_MALFORMED = {
+    "str": lambda good: good.astype(str),
+    "ragged": lambda good: [good.tolist(), [0]],
+    "complex": lambda good: good * (1 + 1j),
+    "object": lambda good: good.astype(object),
+    "bool": lambda good: good.astype(bool),
+}
+
+
+_MALFORMED_CASES = [
+    pytest.param(call, good, kind, id=f"{name}-{kind}")
+    for name, good, call in _ARRAY_ARGUMENTS
+    for kind in _MALFORMED
+    if not (kind == "bool" and name.startswith("int-"))  # 0/1 labels are naturally a bool mask
+]
+
+
+@pytest.mark.parametrize("call, good, kind", _MALFORMED_CASES)
+def test_malformed_array_argument_rejected(call, good, kind):
+    # only _linalg's _real_array and _int64_exact decide what a real or an integer array is
+    call(good)
+    with pytest.raises(ValidationError):
+        call(_MALFORMED[kind](good))
+
+
+_DTYPES = ["bool", "int8", "uint64", "float16", "float32", "complex64", "U3", "S3", "O", "M8[s]"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(_DTYPES))
+def test_array_of_any_dtype_is_built_or_rejected(data, dtype):
+    def draw(shape):
+        return data.draw(hnp.arrays(np.dtype(dtype), shape))
+
+    for build in (lambda: ecml.FeatureMatrix(draw((3, 2))),
+                  lambda: ecml.PairSet(draw(4), draw(4), draw(4))):
+        try:
+            build()
+        except ValidationError:
+            pass
+
+
 @pytest.mark.parametrize("value", [10**400, -10**400], ids=["above", "below"])
 def test_integer_beyond_float_range_rejected(value):
     # the bounds compare exactly, so only the float conversion can refuse it
@@ -683,15 +772,19 @@ def test_non_integer_seed_rejected(entry, seed):
 
 
 def test_argument_policy_stated_in_one_module():
-    # only _linalg's _check_integer and _check_real decide what an integer or a real is
-    users = set()
+    # only _linalg's _check_integer and _check_real decide what an integer or a real is, and
+    # only its _real_array and _int64_exact what an array of either is: no other module
+    # names `numbers`, `isfinite` or `freeze_array`
+    users = {"numbers": set(), "isfinite": set(), "freeze_array": set()}
     for path in Path(ecml.__file__).resolve().parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Name) and node.id == "numbers"
-                    or isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names]
-                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
-                users.add(path.name)
-    assert users == {"_linalg.py"}
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.module if isinstance(node, ast.ImportFrom) else None)
+            if name in users:
+                users[name].add(path.name)
+    assert users == {name: {"_linalg.py"} for name in users}
 
 
 class TestGenSynthetic:

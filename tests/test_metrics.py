@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ecml
-from ecml import metrics
+from ecml import _linalg, metrics
 from ecml._linalg import SYMMETRY_TILE, is_symmetric, symmetrize
 from ecml.errors import SingularCovariance, ValidationError
 
@@ -308,7 +308,7 @@ class TestMetricModel:
         # read-only, so MetricModel keeps it as it is
         feats, _, pairs = clustered_problem(seed=11)
         stats = ecml.accumulate_stats(feats, pairs)
-        freeze = metrics.freeze_array
+        freeze = _linalg.freeze_array
         copied = []
 
         def tracking_freeze(arr):
@@ -317,7 +317,7 @@ class TestMetricModel:
                 copied.append(arr.shape)
             return out
 
-        monkeypatch.setattr(metrics, "freeze_array", tracking_freeze)
+        monkeypatch.setattr(_linalg, "freeze_array", tracking_freeze)
         model = ecml.make_learner(learner)(stats)
         assert copied == [] and not model.matrix.flags.writeable
 
