@@ -1,4 +1,4 @@
-"""Small array helpers and input checks shared by the ecml modules, and heap release."""
+"""Array helpers, input and overflow checks and eigen solves shared by the modules; heap release."""
 
 import functools
 import numbers
@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 def freeze_array(arr):
@@ -148,15 +148,16 @@ def _real_array(value, what, ndim=None, square=False, symmetric=False, nonfinite
     integer or float dtype, ``ndim`` dimensions (None: any) or a ``square`` matrix, and finite
     entries, checked after symmetrizing a ``symmetric`` matrix (which can overflow). A non-finite
     entry raises ``nonfinite`` formatted with its index, or "<what> has non-finite entries"."""
-    arr = _numeric_array(value, what, "iuf", ndim).astype(np.float64, copy=False)
-    if square and (arr.ndim != 2 or arr.shape[0] != arr.shape[1]):
-        raise ValidationError(f"{what} must be square, got shape {arr.shape}")
+    arr = _numeric_array(value, what, "iuf", ndim)
+    out = arr.astype(np.float64, order="C", copy=False)
+    if square and (out.ndim != 2 or out.shape[0] != out.shape[1]):
+        raise ValidationError(f"{what} must be square, got shape {out.shape}")
     if symmetric:
-        arr = symmetrize(arr)
-    bad = _first_nonfinite(arr)
+        out = symmetrize(out)
+    bad = _first_nonfinite(out)
     if bad is not None:
         raise ValidationError((nonfinite or f"{what} has non-finite entries").format(*bad))
-    return freeze_array(arr)
+    return _read_only(value, arr, out)
 
 
 def _int64_exact(values, what):
@@ -164,7 +165,34 @@ def _int64_exact(values, what):
     cast changes a value (2.7 would truncate to 2)."""
     arr = _numeric_array(values, what, "biuf", 1)
     with np.errstate(invalid="ignore"):  # NaN and out-of-range values are refused below
-        out = arr.astype(np.int64, copy=False)
+        out = arr.astype(np.int64, order="C", copy=False)
     if not np.can_cast(arr.dtype, np.int64) and (out != arr).any():
         raise ValidationError(f"{what} must be integer-valued, got {arr[out != arr][0].item()!r}")
+    return _read_only(values, arr, out)
+
+
+def _read_only(value, arr, out):
+    """``out``, converted from ``value`` through ``arr``, read-only: marked in place when the
+    conversion built it (``np.asarray`` of a list or tuple, or a cast), so that it is copied
+    once, and through ``freeze_array`` when it may be the caller's own array."""
+    if out is not arr or isinstance(value, (list, tuple)):
+        out.setflags(write=False)
+        return out
     return freeze_array(out)
+
+
+def _eigen(m, what, vectors=True, failure=NumericalError):
+    """``np.linalg.eigh(m)``, or ``eigvalsh`` without ``vectors``; looked up at the call, so
+    that a rebinding of either is seen. LAPACK's failure raises ``failure`` naming ``what``."""
+    try:
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise failure(f"{what} eigendecomposition failed: {exc}") from exc
+
+
+def _check_overflow(arr, what):
+    """Raise ``NumericalError`` if ``arr``, computed from finite input, holds a non-finite
+    entry; like ``_first_nonfinite``, it builds no ``arr``-sized array unless one is found."""
+    bad = _first_nonfinite(arr)
+    if bad is not None:
+        raise NumericalError(f"{what} overflowed: entry {list(bad)} is {float(arr[bad])!r}")

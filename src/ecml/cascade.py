@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _check_integer, _int64_exact, _real_array, _release_free_heap, fix_column_signs
+from ._linalg import (_check_integer, _eigen, _int64_exact, _real_array, _release_free_heap,
+                      fix_column_signs)
 from .errors import NumericalError, ValidationError
 from .features import (FeatureMatrix, PairSet, PcaModel, _BinaryReader, _check_pca_input,
                        _write_bytes, map_rows)
@@ -163,13 +164,7 @@ def mcd(matrix) -> Projection:
     (-CLAMP_TOL, 0) are treated as zero without counting as clamped.
     """
     m = _real_array(matrix, "matrix", square=True, symmetric=True)
-    try:
-        evals, evecs = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"eigendecomposition failed for {m.shape[0]}x{m.shape[0]} matrix "
-            f"(fro norm {np.linalg.norm(m):.3e}): {exc}"
-        ) from exc
+    evals, evecs = _eigen(m, f"{m.shape[0]}x{m.shape[0]} matrix")
     evecs = fix_column_signs(evecs)
     clamped = int((evals <= -CLAMP_TOL).sum())
     p = evecs * np.sqrt(np.clip(evals, 0.0, None))
@@ -227,16 +222,17 @@ def _map_groups(stage: StageModel, shuffled) -> np.ndarray:
     return shuffled
 
 
-def _fit_stage(shuffled, perm, pairs, n_groups, learner):
-    """Fit one ensemble stage on its input padded and shuffled by ``perm``.
+def _fit_stage(shuffled, perm, pairs, n_groups, learner, stage_index):
+    """Fit ensemble stage ``stage_index`` on its input padded and shuffled by ``perm``.
 
     Returns (StageModel, stage output features). Each group's columns are
     copied into one N x (D/G) ``block``, allocated here once, and summed
     through a read-only view of it, which the checked ``FeatureMatrix``
     constructor keeps uncopied; the group's learner and ``mcd`` then run on
-    those stats. Once every group is fitted, ``shuffled``, as ``_shuffle``
-    makes it, is mapped in place by ``_map_groups``, the code that replays
-    the stage, and becomes the output.
+    those stats. A ``NumericalError`` of any of the three is raised again,
+    of its type, naming the stage and group and carrying ``stage_index`` and
+    ``group_index``. Once every group is fitted, ``shuffled`` (from ``_shuffle``)
+    is mapped in place by ``_map_groups``, which replays the stage, as the output.
     """
     gdim = perm.size // n_groups
     block = np.empty((shuffled.shape[0], gdim))
@@ -245,14 +241,13 @@ def _fit_stage(shuffled, perm, pairs, n_groups, learner):
     projections = []
     for g in range(n_groups):
         np.copyto(block, shuffled[:, g * gdim : (g + 1) * gdim])
-        stats = accumulate_stats(FeatureMatrix(group), pairs)
         try:
-            model = learner(stats)
+            stats = accumulate_stats(FeatureMatrix(group), pairs)
+            projections.append(mcd(learner(stats).matrix))
         except NumericalError as exc:
-            failure = type(exc)(f"ensemble group {g} of {n_groups}: {exc}")
-            failure.group_index = g
+            failure = type(exc)(f"stage {stage_index}: ensemble group {g} of {n_groups}: {exc}")
+            failure.stage_index, failure.group_index = stage_index, g
             raise failure from exc
-        projections.append(mcd(model.matrix))
     # freed before _map_groups allocates its own block
     del block, group
     stage = StageModel(perm, tuple(projections))
@@ -297,13 +292,7 @@ def fit_cascade(features, pairs: PairSet, stage_count, learner, seed) -> Cascade
     for s, n_groups in enumerate(counts):
         perm = rng.permutation(_padded_width(current.dim, n_groups))
         shuffled, current = _shuffle(current.data, perm), None
-        try:
-            stage, current = _fit_stage(shuffled, perm, pairs, n_groups, learner)
-        except NumericalError as exc:
-            failure = type(exc)(f"stage {s}: {exc}")
-            failure.stage_index = s
-            failure.group_index = getattr(exc, "group_index", None)
-            raise failure from exc
+        stage, current = _fit_stage(shuffled, perm, pairs, n_groups, learner, s)
         stages.append(stage)
         # the next stage's stats buffers then grow RSS from a heap holding
         # only live arrays

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._linalg import _check_integer, _check_real, _int64_exact, _real_array, _release_free_heap
+from ._linalg import (_check_integer, _check_overflow, _check_real, _int64_exact, _real_array,
+                      _release_free_heap)
 from .cascade import CascadeModel, _check_rows, transform
 from .errors import ValidationError
 from .features import (
@@ -185,6 +186,7 @@ def _score_chunks(x, first, second, m):
         np.matmul(dk, m, out=pk)
         pk *= dk
         pk.sum(axis=1, out=scores[chunk])
+    _check_overflow(scores, "pair scores")
     scores.setflags(write=False)  # so that ScoredPairs keeps it uncopied
     return scores
 

@@ -30,9 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._linalg import (_check_integer, _check_real, _first_nonfinite, _int64_exact, _real_array,
-                      _release_free_heap, fix_column_signs, row_blocks)
-from .errors import NumericalError, ValidationError
+from ._linalg import (_check_integer, _check_overflow, _check_real, _eigen, _first_nonfinite,
+                      _int64_exact, _real_array, _release_free_heap, fix_column_signs, row_blocks)
+from .errors import ValidationError
 
 FEATURE_MAGIC = b"CMF1"
 _HEADER_RE = re.compile(r"#\s*dim=(\d+)\s+count=(\d+)\s*$")
@@ -511,11 +511,9 @@ def fit_pca(features: FeatureMatrix | FeatureFile, k: int) -> PcaModel:
     cov = centered.T @ centered
     del centered
     cov /= n - 1
+    _check_overflow(cov, "feature covariance")
     _release_free_heap()
-    try:
-        evals, evecs = np.linalg.eigh(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"covariance eigendecomposition failed: {exc}") from exc
+    evals, evecs = _eigen(cov, "covariance")
     order = np.argsort(evals)[::-1][:k]
     # take gives a C-contiguous array, evecs[:, order] would not
     basis = fix_column_signs(evecs.take(order, axis=1))
@@ -559,7 +557,8 @@ def map_rows(source, pca=None, stages=(), rows=None) -> FeatureMatrix:
     if rows is None:
         count, blocks = source.count, source.blocks(ROW_BLOCK)
     else:
-        count, blocks = len(rows), source.gather(rows, ROW_BLOCK)
+        blocks = source.gather(rows, ROW_BLOCK)  # checks the rows, which len then takes
+        count = len(rows)
     width = stages[-1].width if stages else source.dim if pca is None else pca.k
     out = np.empty((count, width))
     for start, stop, block in blocks:
@@ -595,8 +594,8 @@ def sample_pairs(labels, count: int, pos_fraction: float, seed: int) -> PairSet:
     ``count`` exceeds a fiftieth of a class's pool: there ``rng.choice``
     shuffles an index array of the whole pool.
     """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.size < 2:
+    labels = _int64_exact(labels, "labels")
+    if labels.size < 2:
         raise ValidationError("labels must be a 1-D array of at least 2 samples")
     _check_integer(count, "pair count", 1)
     _check_real(pos_fraction, "pos_fraction", 0, 1)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import (_check_integer, _check_real, _real_array, _release_free_heap, is_symmetric,
-                      symmetrize)
+from ._linalg import (_check_integer, _check_overflow, _check_real, _eigen, _real_array,
+                      _release_free_heap, is_symmetric, symmetrize)
 from .errors import SingularCovariance, ValidationError
 from .features import FeatureMatrix, PairSet
 
@@ -76,7 +76,8 @@ class DifferenceStats:
             scale = max(1.0, float(mat.max()), -float(mat.min()))  # max |entry|
             if not is_symmetric(mat) and np.abs(mat - mat.T).max() > 1e-8 * scale:
                 raise ValidationError(f"{name} sum matrix is not symmetric within 1e-8")
-            if psd and np.linalg.eigvalsh(symmetrize(mat)).min() < -1e-8 * scale:
+            if psd and (_eigen(symmetrize(mat), f"{name} sum matrix", vectors=False).min()
+                        < -1e-8 * scale):
                 raise ValidationError(f"{name} sum matrix is not PSD within 1e-8")
         object.__setattr__(self, "sum_pos", sp)
         object.__setattr__(self, "sum_neg", sn)
@@ -149,9 +150,10 @@ def accumulate_stats(features: FeatureMatrix, pairs: PairSet) -> DifferenceStats
     # silently clamp an out-of-range index instead of raising
     pairs.check_against(features)
     (n_pos, sum_pos), (n_neg, sum_neg) = _concurrent_class_sums(features.data, pairs)
-    # read-only, so the stats hold the sums themselves rather than frozen copies
-    sum_pos.setflags(write=False)
-    sum_neg.setflags(write=False)
+    for total, what in ((sum_pos, "matched"), (sum_neg, "unmatched")):
+        _check_overflow(total, f"{what} difference sums")
+        # read-only, so the stats hold the sums themselves rather than frozen copies
+        total.setflags(write=False)
     _release_free_heap()
     return DifferenceStats._from_sums(sum_pos, sum_neg, n_pos, n_neg)
 
@@ -256,7 +258,7 @@ def fit_rmml(stats: DifferenceStats, lam: float = DEFAULT_LAMBDA) -> MetricModel
     """
     _check_real(lam, "lambda", 0, math.inf)
     contrast = _contrast(stats)
-    rho = float(np.abs(np.linalg.eigvalsh(symmetrize(contrast))).mean())
+    rho = float(np.abs(_eigen(symmetrize(contrast), "contrast matrix", vectors=False)).mean())
     if rho < RHO_FLOOR:
         m, rho = np.eye(stats.dim), None
     else:
@@ -280,10 +282,7 @@ def _spd_inverse(sigma, label):
     condition number exceeds ``COND_LIMIT``; callers treat that as a
     first-class, catchable fitting failure.
     """
-    try:
-        evals, evecs = np.linalg.eigh(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"{label} covariance factorization failed: {exc}") from exc
+    evals, evecs = _eigen(sigma, f"{label} covariance", failure=SingularCovariance)
     lo, hi = float(evals[0]), float(evals[-1])
     if lo <= 0.0 or hi / lo > COND_LIMIT:
         cond = math.inf if lo <= 0.0 else hi / lo

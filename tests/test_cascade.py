@@ -23,9 +23,9 @@ from sweep import split_pairs
 
 
 def fit_stage(feats, pairs, n_groups, learner, rng):
-    """One stage fitted from its input as ``fit_cascade`` fits it, drawing the permutation from ``rng``."""
+    """Stage 0 fitted from its input as ``fit_cascade`` fits it, drawing the permutation from ``rng``."""
     perm = rng.permutation(_padded_width(feats.dim, n_groups))
-    return _fit_stage(_shuffle(feats.data, perm), perm, pairs, n_groups, learner)
+    return _fit_stage(_shuffle(feats.data, perm), perm, pairs, n_groups, learner, 0)
 
 
 def identity_learner(stats):
@@ -324,6 +324,25 @@ class TestStageOverlap:
             ecml.fit_cascade(feats, pairs, 3, learner, seed=4)
         assert (info.value.stage_index, info.value.group_index) == (1, 2)
         assert threading.active_count() == before
+
+    def test_mcd_failure_carries_stage_and_group(self, monkeypatch):
+        # rmml solves with eigvalsh only, so every eigh is an mcd: stage 0 has 4 groups,
+        # and the 6th eigh is stage 1's group 1
+        feats, _, pairs = clustered_problem(seed=22, dim=16)
+        real_eigh = np.linalg.eigh
+        calls = []
+
+        def eigh(a):
+            calls.append(a.shape)
+            if len(calls) == 6:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real_eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        with pytest.raises(ecml.NumericalError) as info:
+            ecml.fit_cascade(feats, pairs, 2, ecml.make_learner("rmml", 0.1), seed=4)
+        assert (info.value.stage_index, info.value.group_index) == (1, 1)
+        assert str(info.value).startswith("stage 1: ensemble group 1 of 2: 8x8 matrix eigendecomp")
 
     def test_fit_starts_only_the_matched_stats_worker(self, monkeypatch):
         feats, _, pairs = clustered_problem(seed=23, dim=16)

@@ -722,6 +722,49 @@ class TestRawBinaryEval:
         assert err.splitlines()[-1] == f"error: {path}: feature file changed while being read"
 
 
+@pytest.fixture(scope="module")
+def huge(tmp_path_factory):
+    """Raw-binary features, the same scaled by 1e160 (finite, so valid), training pairs, and
+    a plain and a ``--pca-dim 4`` model fitted on the unscaled features."""
+    work = tmp_path_factory.mktemp("huge")
+    f = work / "f.bin"
+    assert cli.main([
+        "synth", "--ids", "30", "--samples-per-id", "12", "--dim", "16",
+        "--inter-spread", "1.0", "--seed", "7", "--count", "600", "--format", "raw-binary",
+        "--features", str(f), "--labels", str(work / "l.csv"), "--pairs", str(work / "p.csv"),
+    ]) == 0
+    scaled = ecml.FeatureMatrix(ecml.load_features(f, "raw-binary").data * 1e160)
+    ecml.save_features(scaled, work / "big.bin", "raw-binary")
+    for name, flags in (("plain", []), ("pca", ["--pca-dim", "4"])):
+        assert cli.main(["fit", "--features", str(f), "--format", "raw-binary", "--pairs",
+                         str(work / "p.csv"), "--model", str(work / f"{name}.ecml"), *flags]) == 0
+    return work
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv, overflowed", [
+    (["fit"], "matched difference sums"),
+    (["fit", "--cascade", "--stages", "2"],
+     "stage 0: ensemble group 0 of 4: matched difference sums"),
+    (["fit", "--learner", "kissme"], "matched difference sums"),
+    (["fit", "--pca-dim", "4"], "feature covariance"),
+    (["eval", "--model", "plain.ecml"], "pair scores"),
+    (["eval", "--model", "pca.ecml"], "pair scores"),
+], ids=["fit", "fit-cascade", "fit-kissme", "fit-pca", "eval", "eval-pca"])
+def test_computed_overflow_is_numerical(huge, capsys, argv, overflowed):
+    # valid features whose squares pass the float range: a numerical failure naming what
+    # overflowed, not an input error
+    command, *flags = argv
+    if command == "fit":
+        flags += ["--model", "out.ecml"]
+    flags = [str(huge / flag) if flag.endswith(".ecml") else flag for flag in flags]
+    code, _, err = run(capsys, command, "--features", str(huge / "big.bin"), "--format",
+                       "raw-binary", "--pairs", str(huge / "p.csv"), *flags)
+    assert code == 3 and not any(line.startswith("error:") for line in err.splitlines())
+    assert f"numerical failure: {overflowed} overflowed: entry [" in err
+
+
 class TestRawBinaryFit:
     """``fit --pca-dim --format raw-binary`` reads the file in fit_pca and again in apply_pca."""
 

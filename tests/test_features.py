@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ecml
+from ecml._linalg import _int64_exact
 from ecml.cascade import _shuffle
 from ecml.errors import ValidationError
 from ecml.features import ROW_BLOCK
@@ -706,6 +707,9 @@ _ARRAY_ARGUMENTS = [
     ("int-save-labels", np.asarray([1, 0]), lambda v: ecml.save_labels(v, os.devnull)),
     ("int-gather-rows", np.asarray([0, 1]),
      lambda v: ecml.FeatureMatrix(np.ones((2, 2))).gather(v, 4)),
+    ("int-map-rows", np.asarray([0, 1]),
+     lambda v: ecml.features.map_rows(ecml.FeatureMatrix(np.ones((4, 2))), rows=v)),
+    ("int-sample-labels", np.asarray([0, 0, 1, 1]), lambda v: ecml.sample_pairs(v, 2, 0.5, seed=0)),
 ]
 
 _MALFORMED = {
@@ -714,14 +718,27 @@ _MALFORMED = {
     "complex": lambda good: good * (1 + 1j),
     "object": lambda good: good.astype(object),
     "bool": lambda good: good.astype(bool),
+    "scalar": lambda good: good[-1].item(),
+    "fraction": lambda good: good + 0.5,
+    "none": lambda good: np.asarray([*good[:-1], None], dtype=object),
 }
+# the kinds tried on every argument
+_EVERY_ARGUMENT = ("str", "ragged", "complex", "object", "bool")
+# (argument, kind) tried on one argument each: map_rows took len(rows) before gather checked
+# them, and identity labels are integers, so a fraction or a None is no identity
+_ONE_ARGUMENT = [("int-map-rows", "scalar"), ("int-sample-labels", "fraction"),
+                 ("int-sample-labels", "none")]
 
 
 _MALFORMED_CASES = [
     pytest.param(call, good, kind, id=f"{name}-{kind}")
     for name, good, call in _ARRAY_ARGUMENTS
-    for kind in _MALFORMED
+    for kind in _EVERY_ARGUMENT
     if not (kind == "bool" and name.startswith("int-"))  # 0/1 labels are naturally a bool mask
+] + [
+    pytest.param(call, good, kind, id=f"{name}-{kind}")
+    for name, good, call in _ARRAY_ARGUMENTS
+    for argument, kind in _ONE_ARGUMENT if argument == name
 ]
 
 
@@ -731,6 +748,50 @@ def test_malformed_array_argument_rejected(call, good, kind):
     call(good)
     with pytest.raises(ValidationError):
         call(_MALFORMED[kind](good))
+
+
+def _float32_rows():
+    return np.random.default_rng(0).normal(size=(20000, 50)).astype(np.float32)
+
+
+@pytest.mark.parametrize("make, build", [
+    (_float32_rows, ecml.FeatureMatrix),
+    (lambda: _float32_rows().tolist(), ecml.FeatureMatrix),
+    (lambda: np.arange(1_000_000, dtype="<u4"), lambda v: _int64_exact(v, "labels")),
+], ids=["float32-array", "nested-list", "u4-array"])
+def test_conversion_copies_once(make, build):
+    # an array the conversion built is marked read-only in place, not copied a second time
+    value = make()
+    tracemalloc.start()
+    try:
+        built = build(value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = built.data if isinstance(built, ecml.FeatureMatrix) else built
+    assert not out.flags.writeable and peak <= out.nbytes + 2**20
+
+
+def test_caller_array_frozen_by_copy():
+    # a writeable array of the caller's is copied, so the caller cannot change the record
+    for arr, build in ((np.ones((3, 2)), lambda a: ecml.FeatureMatrix(a).data),
+                       (np.arange(4), lambda a: _int64_exact(a, "rows"))):
+        out = build(arr)
+        assert not np.shares_memory(out, arr) and arr.flags.writeable
+
+
+@pytest.mark.parametrize("convert", [
+    lambda labels: labels.astype(np.uint8),
+    lambda labels: labels.astype(float),
+    lambda labels: labels.tolist(),
+    lambda labels: labels == 1,
+], ids=["uint8", "float", "list", "bool"])
+def test_integer_and_bool_labels_draw_the_same_pairs(convert):
+    labels = np.repeat([0, 1], 5)
+    want = ecml.sample_pairs(labels, 12, 0.5, seed=3)
+    got = ecml.sample_pairs(convert(labels), 12, 0.5, seed=3)
+    for name in ("i", "j", "y"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 _DTYPES = ["bool", "int8", "uint64", "float16", "float32", "complex64", "U3", "S3", "O", "M8[s]"]
@@ -774,8 +835,10 @@ def test_non_integer_seed_rejected(entry, seed):
 def test_argument_policy_stated_in_one_module():
     # only _linalg's _check_integer and _check_real decide what an integer or a real is, and
     # only its _real_array and _int64_exact what an array of either is: no other module
-    # names `numbers`, `isfinite` or `freeze_array`
-    users = {"numbers": set(), "isfinite": set(), "freeze_array": set()}
+    # names `numbers`, `isfinite` or `freeze_array`. Only its _eigen decides that an eigen
+    # solve failed: no other module names `eigh`, `eigvalsh` or `LinAlgError`
+    users = {name: set() for name in ("numbers", "isfinite", "freeze_array", "eigh", "eigvalsh",
+                                      "LinAlgError")}
     for path in Path(ecml.__file__).resolve().parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (node.id if isinstance(node, ast.Name)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import ecml
 from ecml import _linalg, metrics
 from ecml._linalg import SYMMETRY_TILE, is_symmetric, symmetrize
-from ecml.errors import SingularCovariance, ValidationError
+from ecml.errors import NumericalError, SingularCovariance, ValidationError
 
 from conftest import clustered_problem, make_stats
 
@@ -622,3 +622,50 @@ class TestMakeLearner:
     def test_bad_lambda_rejected_for_every_learner(self, name, lam):
         with pytest.raises(ValidationError, match="lambda"):
             ecml.make_learner(name, lam)
+
+
+def _no_convergence(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+_STATS = make_stats(np.random.default_rng(0), 3)  # built before any eigen solve is patched
+
+
+@pytest.mark.parametrize("call, error, what", [
+    (lambda: ecml.fit_rmml(_STATS), NumericalError, "contrast matrix"),
+    (lambda: ecml.DifferenceStats(_STATS.sum_pos, _STATS.sum_neg, 1, 1), NumericalError,
+     "matched sum matrix"),
+    (lambda: ecml.fit_pca(ecml.FeatureMatrix(np.arange(12.0).reshape(4, 3) ** 2), 2),
+     NumericalError, "covariance"),
+    (lambda: ecml.mcd(np.eye(3)), NumericalError, "3x3 matrix"),
+    (lambda: ecml.fit_kissme(_STATS), SingularCovariance, "matched covariance"),
+], ids=["rmml", "stats", "pca", "mcd", "kissme"])
+def test_eigen_failure_is_numerical(monkeypatch, call, error, what):
+    # a LAPACK failure in any eigen solve names the matrix it was solving
+    monkeypatch.setattr(np.linalg, "eigh", _no_convergence)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_convergence)
+    with pytest.raises(error, match=f"{what}.* did not converge"):
+        call()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_sums_are_numerical():
+    # finite features whose differences square past the float range
+    feats, _, pairs = clustered_problem(seed=3)
+    huge = ecml.FeatureMatrix(feats.data * 1e160)
+    with pytest.raises(NumericalError, match=r"^matched difference sums overflowed: entry \["):
+        ecml.accumulate_stats(huge, pairs)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ecml.FeatureMatrix([[1.0, np.nan]]), "non-finite feature value at row 0, column 1"),
+    (lambda: ecml.DifferenceStats([[np.nan]], [[1.0]], 1, 1),
+     "matched sum matrix has non-finite entries"),
+    (lambda: ecml.MetricModel([[np.nan]], "rmml"), "metric matrix has non-finite entries"),
+    (lambda: ecml.ScoredPairs([np.nan, 1.0], [1, 0]), "score vector has non-finite entries"),
+], ids=["features", "stats", "metric", "scores"])
+def test_non_finite_input_stays_a_validation_error(build, message):
+    # the records check input: a NaN handed to them is malformed input, not an overflow
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
